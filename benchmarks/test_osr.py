@@ -53,17 +53,17 @@ class Main {{
 }}
 """
 
-#: Promote on the earliest crossings: opt1 at first entry, opt2 16
-#: back-edges later — mid-frame for any loop longer than that.
-FAST_PROMOTE = dict(opt1_ticks=16, opt2_ticks=32)
+#: Promote on the earliest mid-frame crossing: 16 back-edges past the
+#: first entry, so any loop longer than that OSRs into opt2.
+FAST_PROMOTE = dict(promote_ticks=32)
 
 
 def _steady_once() -> tuple[float, int]:
     vm = VM(compile_source(SOURCE, entry_class="Main"),
             adaptive_config=AdaptiveConfig(**FAST_PROMOTE),
             config=VMConfig(osr=True))
-    # Two short calls cross both entry thresholds; the third proves the
-    # method is at its final tier before the clock starts.
+    # Two short calls cross the threshold; the third proves the method
+    # is at opt2 before the clock starts.
     for _ in range(3):
         vm.call_static("Work", "crunch", [WARM_ITERS])
     assert vm.classes["Work"].own_methods["crunch"].compiled.opt_level == 2

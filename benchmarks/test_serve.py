@@ -30,7 +30,7 @@ SESSIONS = 8
 MIN_SPEEDUP = 1.5
 #: Same aggressive promotion on both sides so the comparison is
 #: build-cost amortization, not tier configuration.
-ADAPTIVE = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
+ADAPTIVE = AdaptiveConfig(promote_ticks=32)
 
 
 def test_shared_space_beats_isolated_vms(benchmark):

@@ -90,7 +90,7 @@ def _leg(spec_share: bool, memo: bool):
     vm = VM(
         compile_source(SOURCE),
         mutation_plan=_plan(),
-        adaptive_config=AdaptiveConfig(opt1_ticks=16, opt2_ticks=32),
+        adaptive_config=AdaptiveConfig(promote_ticks=32),
         config=VMConfig(spec_share=spec_share, memo=memo),
     )
     out = vm.run().output

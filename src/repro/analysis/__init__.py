@@ -11,7 +11,6 @@ A whole-program analysis layer over the bytecode IR:
 * :mod:`.specsafety` — hook-completeness and specialization-safety
   proofs (also the fact source for swap coalescing and the attach-time
   plan audit);
-* :mod:`.estimates` — the optimizer's budget-gate benefit estimates;
 * :mod:`.liveness` — per-instruction live-local sets (the OSR
   frame-mapping compensation sets);
 * :mod:`.symstate` — the symbolic lockstep machine (term-algebra
@@ -25,7 +24,6 @@ A whole-program analysis layer over the bytecode IR:
 from repro.analysis.cfg import MAY_RAISE, InstrCFG, may_raise
 from repro.analysis.dataflow import solve_backward, solve_forward
 from repro.analysis.escape import RefFieldFacts, analyze_ref_fields
-from repro.analysis.estimates import bounds_may_help, cse_may_help
 from repro.analysis.findings import Finding
 from repro.analysis.liveness import live_locals, local_effects
 from repro.analysis.lint import (
@@ -67,8 +65,6 @@ __all__ = [
     "solve_forward",
     "RefFieldFacts",
     "analyze_ref_fields",
-    "bounds_may_help",
-    "cse_may_help",
     "Finding",
     "live_locals",
     "local_effects",

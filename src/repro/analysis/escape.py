@@ -42,7 +42,8 @@ from repro.bytecode.classfile import MethodInfo, ProgramUnit
 from repro.bytecode.opcodes import CALL_OPS, OP_INFO, Op
 from repro.analysis.cfg import InstrCFG
 from repro.analysis.dataflow import solve_forward
-from repro.mutation.stacksim import _call_returns
+from repro.bytecode.ctorfields import field_key
+from repro.bytecode.stacksim import _call_returns
 
 OTHER_TAG = ("other",)
 THIS_TAG = ("this",)
@@ -59,13 +60,6 @@ class RefFieldFacts:
     assignments: list[tuple[str, str]] = field(default_factory=list)
     escaped: bool = False
     modified_fields: set[str] = field(default_factory=set)
-
-
-def _field_key(unit: ProgramUnit, cls_name: str, field_name: str) -> str:
-    finfo = unit.lookup_field(cls_name, field_name)
-    if finfo is None:
-        return f"{cls_name}.{field_name}"
-    return f"{finfo.declaring_class}.{finfo.name}"
 
 
 def _g_keys(tags: frozenset) -> list[str]:
@@ -121,14 +115,14 @@ class _FlowWalker:
             locals_ = tuple(loc)
         elif op is Op.GETFIELD:
             stack.pop()
-            key = _field_key(self.unit, *instr.arg)
+            key = field_key(self.unit, *instr.arg)
             stack.append(
                 frozenset({("g", key)}) if key in facts else _UNKNOWN
             )
         elif op is Op.PUTFIELD:
             value = stack.pop()
             stack.pop()
-            key = _field_key(self.unit, *instr.arg)
+            key = field_key(self.unit, *instr.arg)
             for f in facts.values():
                 f.modified_fields.add(key)
             if key in facts:

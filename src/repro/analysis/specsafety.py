@@ -39,7 +39,7 @@ from repro.bytecode.opcodes import Op
 from repro.analysis.cfg import InstrCFG
 from repro.analysis.dataflow import solve_backward
 from repro.analysis.findings import Finding
-from repro.mutation.stacksim import StackEvent, SymValue, walk_method
+from repro.bytecode.stacksim import StackEvent, SymValue, walk_method
 
 #: Opcodes that can execute inside a stale-TIB window: non-raising,
 #: no control transfer, no dispatch, no field store.  This is the

@@ -6,8 +6,8 @@ marshalled code object) plus one *pin descriptor* per runtime object the
 source closes over.  Descriptors name objects symbolically — class
 names, method keys, intrinsic names, hook roles — never by identity, so
 :func:`resolve_pin` can rebind them against the current VM's JTOC, TIB,
-and mutation-manager environment.  An opt1 artifact is serialized IR
-(see :mod:`repro.cache.irser`).
+and mutation-manager environment.  opt2 is the only optimizing tier,
+so it is the only artifact kind.
 
 Anything that cannot be described symbolically makes the compile
 *uncacheable* (reported, never mis-linked): correctness never depends

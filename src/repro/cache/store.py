@@ -80,7 +80,10 @@ from repro.cache.keys import compile_key, program_digest, stable_digest
 #: ``tv`` entry (toggle + the sorted enforcement-downgrade record), so
 #: a cache hit never resurrects a body the validator refused to run in
 #: the populating build; v8 artifacts carry no verdict digest.
-SCHEMA_VERSION = 9
+#: v10: the opt1 tier is gone — methods promote opt0 -> opt2 at one
+#: threshold and no ``"opt1"`` (serialized IR) artifact is written or
+#: read any more; v9 directories may still hold them.
+SCHEMA_VERSION = 10
 
 
 def cache_stamp() -> str:

@@ -1,10 +1,8 @@
 """Dynamic class hierarchy mutation — the paper's core contribution."""
 
+from repro.bytecode.ctorfields import ctor_constant_fields
 from repro.mutation.hot_states import derive_hot_states
-from repro.mutation.lifetime import (
-    analyze_lifetime_constants,
-    ctor_constant_fields,
-)
+from repro.mutation.lifetime import analyze_lifetime_constants
 from repro.mutation.manager import MutationManager
 from repro.mutation.online import OnlineMutationController
 from repro.mutation.pipeline import build_mutation_plan

@@ -54,7 +54,7 @@ from repro.analysis.specsafety import (
     deferral_is_safe,
     must_reach_states,
 )
-from repro.mutation.stacksim import walk_method
+from repro.bytecode.stacksim import walk_method
 
 #: Opcodes allowed inside a deferral region (between a deferred state
 #: write and the region's re-evaluating write).  Everything here is

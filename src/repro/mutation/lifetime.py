@@ -5,7 +5,9 @@ a given private reference field, compile-time constants:
 
 1. **Constructor assignment analysis** — record ``<field, ctor, value>``
    tuples for fields of mutable classes assigned literal constants in
-   constructors, and verify no non-constructor code ever assigns them.
+   constructors, and verify no non-constructor code ever assigns them
+   (:mod:`repro.bytecode.ctorfields`, shared with the VM's unboxing
+   proof).
 2. **Private reference field analysis** — for each private field ``g``
    in another class ``D`` whose every assignment is ``new M(...)``
    through one specific constructor: prove ``D`` never modifies the
@@ -22,89 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bytecode.classfile import (
-    CONSTRUCTOR_NAME,
-    MethodInfo,
-    ProgramUnit,
+from repro.bytecode.classfile import ProgramUnit
+from repro.bytecode.ctorfields import (
+    ctor_constant_fields,
+    field_key,
+    fields_assigned_outside_ctors,
 )
-from repro.bytecode.instructions import Instr
+from repro.bytecode.stacksim import StackEvent, SymValue, walk_method
 from repro.mutation.plan import LifetimeConstInfo
-from repro.mutation.stacksim import StackEvent, SymValue, walk_method
-
-
-def _field_key(unit: ProgramUnit, cls_name: str, field_name: str) -> str:
-    finfo = unit.lookup_field(cls_name, field_name)
-    if finfo is None:
-        return f"{cls_name}.{field_name}"
-    return f"{finfo.declaring_class}.{finfo.name}"
-
-
-# ---------------------------------------------------------------------------
-# Step 1: constructor-assigned constants
-# ---------------------------------------------------------------------------
-
-class _CtorAssignCollector(StackEvent):
-    def __init__(self, unit: ProgramUnit) -> None:
-        self.unit = unit
-        #: field key -> constant value (last assignment wins)
-        self.constants: dict[str, object] = {}
-        #: field keys assigned non-constants or via non-this receivers
-        self.disqualified: set[str] = set()
-
-    def on_putfield(self, index, instr, receiver, value) -> None:
-        cls_name, field_name = instr.arg
-        key = _field_key(self.unit, cls_name, field_name)
-        if receiver.kind != ("this",):
-            self.disqualified.add(key)
-            return
-        if value.kind[0] == "const":
-            self.constants[key] = value.kind[1]
-        else:
-            self.disqualified.add(key)
-
-
-def ctor_constant_fields(
-    unit: ProgramUnit, class_name: str
-) -> dict[str, dict[str, object]]:
-    """``ctor key -> {field key: constant}`` for one class's constructors."""
-    cls = unit.classes.get(class_name)
-    if cls is None:
-        return {}
-    out: dict[str, dict[str, object]] = {}
-    for key, method in cls.methods.items():
-        if not method.is_constructor:
-            continue
-        collector = _CtorAssignCollector(unit)
-        walk_method(method, collector, unit=unit)
-        constants = {
-            fk: v
-            for fk, v in collector.constants.items()
-            if fk not in collector.disqualified
-        }
-        out[key] = constants
-    return out
-
-
-def fields_assigned_outside_ctors(
-    unit: ProgramUnit, class_name: str
-) -> set[str]:
-    """Field keys of ``class_name``'s hierarchy written by any
-    non-constructor method anywhere in the program (or by another
-    class's constructor)."""
-    written: set[str] = set()
-    for method in unit.all_methods():
-        if method.is_abstract or not method.code:
-            continue
-        is_own_ctor = (
-            method.is_constructor and method.declaring_class == class_name
-        )
-        if is_own_ctor:
-            continue
-        for instr in method.code:
-            if instr.op.name == "PUTFIELD":
-                cls_name, field_name = instr.arg
-                written.add(_field_key(unit, cls_name, field_name))
-    return written
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +85,7 @@ class _RefFieldCollector(StackEvent):
 
     def on_putfield(self, index, instr, receiver, value) -> None:
         cls_name, field_name = instr.arg
-        key = _field_key(self.unit, cls_name, field_name)
+        key = field_key(self.unit, cls_name, field_name)
         # Record modifications of *any* field (checked against olc sets).
         for facts in self.facts.values():
             facts.modified_fields.add(key)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.bytecode.classfile import MethodInfo, ProgramUnit
 from repro.bytecode.instructions import Instr
 from repro.mutation.plan import MutationConfig, StateFieldSpec
-from repro.mutation.stacksim import StackEvent, SymValue, walk_method
+from repro.bytecode.stacksim import StackEvent, SymValue, walk_method
 from repro.opt.bytecode_cfg import BytecodeCFG
 
 

@@ -1,14 +1,12 @@
 """The optimizing compiler driver.
 
-Pass schedules (paper §3.2.1: Jikes opt compiler at levels opt0–opt2;
-JxVM's opt0 is the interpreter, so the optimizing pipeline covers opt1
-and opt2):
-
-* **opt1** — lower, simplify, constant propagation, CFG cleanup, DCE;
-  executed by the IR interpreter.
-* **opt2** — opt1's pipeline plus inlining (with specialization
-  inlining), strength reduction, and bounds-check elimination, iterated
-  to a fixpoint; emitted as Python code.
+Paper §3.2.1 runs the Jikes opt compiler at levels opt0–opt2.  JxVM's
+opt0 is the interpreter and its one optimizing tier is **opt2**: lower,
+inline (with specialization inlining), then simplify, CSE, constant
+propagation, CFG cleanup and DCE to a fixpoint, strength reduction,
+bounds-check elimination, and the fixpoint again; emitted as Python
+code.  There is no opt1: an IR-interpreter middle tier ran slower than
+the quickened opt0 interpreter it was meant to improve on.
 
 Specialized versions (``compile(..., bindings=...)``) run the
 specialization pass right after lowering/inlining so the bound state
@@ -25,13 +23,7 @@ from typing import Any
 
 from repro.telemetry.core import maybe as _tel_maybe
 
-from repro.analysis.estimates import bounds_may_help, cse_may_help
-from repro.cache.artifact import (
-    UnlinkableArtifact,
-    link_opt2,
-    opt2_artifact,
-)
-from repro.cache.irser import ir_from_dict, ir_to_dict
+from repro.cache.artifact import link_opt2, opt2_artifact
 from repro.opt.boundselim import eliminate_bounds_checks
 from repro.opt.branchfold import cleanup_cfg
 from repro.opt.constprop import constant_propagation
@@ -39,16 +31,12 @@ from repro.opt.cse import local_cse
 from repro.opt.dce import dead_code_elimination
 from repro.opt.inline import InlineConfig, inline_calls
 from repro.opt.ir import clone_ir
-from repro.opt.irinterp import execute_ir
-from repro.opt.lowering import lower_method
+from repro.opt.lowering import lower_method, lower_method_osr
 from repro.opt.pycodegen import PyCodegen
 from repro.opt.simplify import simplify
 from repro.opt.specialize import SpecBindings, specialize_ir
 from repro.opt.strength import strength_reduce
 from repro.vm.compiled import OptCompiled
-
-#: Modeled bytes per IR instruction for the opt1 code-size metric.
-IR_INSTR_BYTES = 16
 
 
 @dataclass
@@ -58,25 +46,10 @@ class OptConfig:
     inline: InlineConfig = field(default_factory=InlineConfig)
     #: Maximum simplify/constprop/cleanup/DCE fixpoint iterations.
     max_iterations: int = 5
-    #: Compile-time budget gate: skip ``cse``/``boundselim`` when a cheap
-    #: one-scan estimate proves the pass cannot fire (no block repeats
-    #: one of the dedup keys the pass reuses — see
-    #: :mod:`repro.analysis.estimates`).  The
-    #: estimate is a sound over-approximation — a gated run would have
-    #: been a no-op — so results are identical with the gate on; skipped
-    #: runs are counted under ``opt.pass_gated.*``.  Default off.
-    budget_gate: bool = False
-
-
-# Benefit estimates live in the analysis package (they key on the
-# passes' actual dedup keys, not coarse op counts); the old names stay
-# importable for the soundness tests and external callers.
-_cse_may_help = cse_may_help
-_bounds_may_help = bounds_may_help
 
 
 class OptCompiler:
-    """Compiles RuntimeMethods at opt1/opt2 for one VM."""
+    """Compiles RuntimeMethods at opt2 for one VM."""
 
     def __init__(self, vm: Any, config: OptConfig | None = None) -> None:
         self.vm = vm
@@ -101,27 +74,32 @@ class OptCompiler:
         tel.observe(f"opt.pass_seconds.{name}", seconds)
         return result
 
-    def _gated(self, name: str) -> None:
-        """Record one budget-gated (skipped) pass run."""
-        tel = _tel_maybe(self.vm.telemetry)
-        if tel is not None:
-            tel.count("opt.pass_gated")
-            tel.count(f"opt.pass_gated.{name}")
-
     def _run_core_pipeline(self, fn) -> None:
         run = self._pass
-        gate = self.config.budget_gate
         for _ in range(self.config.max_iterations):
             changed = run("simplify", simplify, fn)
-            if gate and not _cse_may_help(fn):
-                self._gated("cse")
-            else:
-                changed += run("cse", local_cse, fn)
+            changed += run("cse", local_cse, fn)
             changed += run("constprop", constant_propagation, fn)
             changed += run("cleanup_cfg", cleanup_cfg, fn)
             changed += run("dce", dead_code_elimination, fn)
             if not changed:
                 break
+
+    def _run_late_pipeline(self, fn) -> None:
+        """Strength reduction and bounds-check elimination, then the
+        core fixpoint again over what they exposed."""
+        self._pass("strength", strength_reduce, fn)
+        self._pass("boundselim", eliminate_bounds_checks, fn)
+        self._run_core_pipeline(fn)
+
+    def _lower_and_inline(self, rm: Any):
+        fn = self._pass("lower", lambda _f: lower_method(rm.info), None)
+        self._pass(
+            "inline",
+            lambda f: inline_calls(f, self.vm, rm, self.config.inline),
+            fn,
+        )
+        return fn
 
     def spec_ir(self, rm: Any):
         """The post-inline opt2 IR specialization starts from, for
@@ -136,51 +114,24 @@ class OptCompiler:
         """
         fn = self._ir_snapshots.get(id(rm))
         if fn is None:
-            fn = self._pass(
-                "lower", lambda _f: lower_method(rm.info), None
-            )
-            self._pass(
-                "inline",
-                lambda f: inline_calls(
-                    f, self.vm, rm, self.config.inline
-                ),
-                fn,
-            )
-            self._ir_snapshots[id(rm)] = fn
+            fn = self._ir_snapshots[id(rm)] = self._lower_and_inline(rm)
         return fn
 
-    def build_ir(
-        self,
-        rm: Any,
-        opt_level: int,
-        bindings: SpecBindings | None = None,
-    ):
-        """Produce optimized IR for ``rm`` at ``opt_level``.
+    def build_ir(self, rm: Any, bindings: SpecBindings | None = None):
+        """Produce optimized opt2 IR for ``rm``.
 
-        The post-inline IR of an opt2 *general* compile is snapshotted on
-        the RuntimeMethod; specialized versions clone that snapshot
-        instead of re-lowering and re-inlining (Fig. 5 generates the
-        general and all special versions together, so the snapshot is
-        always fresh when the manager asks for specials).
+        The post-inline IR of a *general* compile is snapshotted on the
+        RuntimeMethod; specialized versions clone that snapshot instead
+        of re-lowering and re-inlining (Fig. 5 generates the general and
+        all special versions together, so the snapshot is always fresh
+        when the manager asks for specials).
         """
-        fn = None
-        if opt_level >= 2 and bindings:
-            snapshot = self._ir_snapshots.get(id(rm))
-            if snapshot is not None:
-                fn = clone_ir(snapshot)
-        if fn is None:
-            fn = self._pass(
-                "lower", lambda _f: lower_method(rm.info), None
-            )
-            if opt_level >= 2:
-                self._pass(
-                    "inline",
-                    lambda f: inline_calls(
-                        f, self.vm, rm, self.config.inline
-                    ),
-                    fn,
-                )
-                self._ir_snapshots[id(rm)] = clone_ir(fn)
+        snapshot = self._ir_snapshots.get(id(rm)) if bindings else None
+        if snapshot is not None:
+            fn = clone_ir(snapshot)
+        else:
+            fn = self._lower_and_inline(rm)
+            self._ir_snapshots[id(rm)] = clone_ir(fn)
         if bindings:
             self._pass(
                 "specialize", lambda f: specialize_ir(f, bindings), fn
@@ -199,16 +150,10 @@ class OptCompiler:
                     fn,
                 )
         self._run_core_pipeline(fn)
-        if opt_level >= 2:
-            self._pass("strength", strength_reduce, fn)
-            if self.config.budget_gate and not _bounds_may_help(fn):
-                self._gated("boundselim")
-            else:
-                self._pass("boundselim", eliminate_bounds_checks, fn)
-            self._run_core_pipeline(fn)
+        self._run_late_pipeline(fn)
         return fn
 
-    def compile_osr_continuation(self, rm: Any, pc: int, opt_level: int):
+    def compile_osr_continuation(self, rm: Any, pc: int):
         """Compile an OSR continuation of ``rm`` entered at bytecode
         ``pc`` and return ``(executor, code_size_bytes)``.
 
@@ -218,28 +163,14 @@ class OptCompiler:
         Continuations are per-frame-shape artifacts keyed by runtime
         state, so they are never cached or snapshotted; the entry-point
         cache lives on the RuntimeMethod (``rm.osr_entries``)."""
-        from repro.opt.lowering import lower_method_osr
-
         fn = lower_method_osr(rm.info, pc)
-        if opt_level >= 2:
-            self._pass(
-                "inline",
-                lambda f: inline_calls(f, self.vm, rm, self.config.inline),
-                fn,
-            )
+        self._pass(
+            "inline",
+            lambda f: inline_calls(f, self.vm, rm, self.config.inline),
+            fn,
+        )
         self._run_core_pipeline(fn)
-        if opt_level >= 2:
-            self._pass("strength", strength_reduce, fn)
-            if self.config.budget_gate and not _bounds_may_help(fn):
-                self._gated("boundselim")
-            else:
-                self._pass("boundselim", eliminate_bounds_checks, fn)
-            self._run_core_pipeline(fn)
-        if opt_level == 1:
-            def executor(vm, args, _fn=fn, _rm=rm):
-                return execute_ir(vm, _rm, _fn, args)
-
-            return executor, fn.instr_count() * IR_INSTR_BYTES
+        self._run_late_pipeline(fn)
         source, executor = PyCodegen(fn, func_name="_jx_osr").generate()
         return executor, len(source)
 
@@ -256,8 +187,8 @@ class OptCompiler:
         With a compile cache attached to the VM, a prior compile of the
         same (program, method, tier, bindings, config, environment) is
         re-linked instead of recompiled; misses populate the cache."""
-        if opt_level not in (1, 2):
-            raise ValueError(f"opt_level must be 1 or 2, got {opt_level}")
+        if opt_level != 2:
+            raise ValueError(f"opt_level must be 2, got {opt_level}")
         cache = getattr(self.vm, "compile_cache", None)
         key = None
         if cache is not None:
@@ -272,69 +203,48 @@ class OptCompiler:
                     tel = _tel_maybe(self.vm.telemetry)
                     if tel is not None:
                         tel.observe("cache.lock_wait_seconds", waited)
-                return self._compile_exclusive(
-                    cache, key, rm, opt_level, bindings
-                )
-        return self._compile_exclusive(cache, key, rm, opt_level, bindings)
+                return self._compile_exclusive(cache, key, rm, bindings)
+        return self._compile_exclusive(cache, key, rm, bindings)
 
     def _compile_exclusive(
         self,
         cache: Any,
         key: str | None,
         rm: Any,
-        opt_level: int,
         bindings: SpecBindings | None,
     ) -> OptCompiled:
         """The compile body; the caller holds ``key``'s lock when a
         cache is attached."""
         if cache is not None:
-            cm = self._link_cached(cache, key, rm, opt_level, bindings)
+            cm = self._link_cached(cache, key, rm, bindings)
             if cm is not None:
                 return cm
-        fn = self.build_ir(rm, opt_level, bindings)
+        fn = self.build_ir(rm, bindings)
         state_label = bindings.label if bindings else None
+        gen = PyCodegen(fn)
+        source, executor = gen.generate()
+        cm = OptCompiled(
+            rm,
+            executor,
+            opt_level=2,
+            specialized_state=state_label,
+            code_size_bytes=len(source),
+            ir=fn,
+            source_text=source,
+        )
         artifact = None
-        if opt_level == 1:
-            def executor(vm, args, _fn=fn, _rm=rm):
-                return execute_ir(vm, _rm, _fn, args)
-
-            cm = OptCompiled(
-                rm,
-                executor,
-                opt_level=1,
-                specialized_state=state_label,
-                code_size_bytes=fn.instr_count() * IR_INSTR_BYTES,
-                ir=fn,
-            )
-            if cache is not None:
-                try:
-                    artifact = {"kind": "opt1", "ir": ir_to_dict(fn)}
-                except UnlinkableArtifact:
-                    cache.uncacheable += 1
-        else:
-            gen = PyCodegen(fn)
-            source, executor = gen.generate()
-            cm = OptCompiled(
-                rm,
-                executor,
-                opt_level=2,
-                specialized_state=state_label,
-                code_size_bytes=len(source),
-                ir=fn,
-                source_text=source,
-            )
-            if cache is not None:
-                if gen.uncacheable:
-                    cache.uncacheable += 1
-                else:
-                    artifact = opt2_artifact(
-                        gen.func_name, source, gen.pin_refs, gen.code
-                    )
-        if cache is not None and artifact is not None:
+        if cache is not None:
+            if gen.uncacheable:
+                cache.uncacheable += 1
+            else:
+                artifact = opt2_artifact(
+                    gen.func_name, source, gen.pin_refs, gen.code
+                )
+        if artifact is not None:
             cache.store(key, artifact, meta={
                 "cls": rm.rclass.name,
                 "method": rm.info.key,
-                "opt_level": opt_level,
+                "opt_level": 2,
                 "special": state_label,
             })
         # Under active telemetry, keep dispatch going through the
@@ -349,7 +259,6 @@ class OptCompiler:
         cache: Any,
         key: str,
         rm: Any,
-        opt_level: int,
         bindings: SpecBindings | None,
     ) -> OptCompiled | None:
         """Try to build an OptCompiled from a cache entry.  Any failure
@@ -362,23 +271,7 @@ class OptCompiler:
         if artifact is not None:
             state_label = bindings.label if bindings else None
             try:
-                if artifact.get("kind") == "opt1" and opt_level == 1:
-                    fn = ir_from_dict(self.vm, artifact["ir"])
-
-                    def executor(vm, args, _fn=fn, _rm=rm):
-                        return execute_ir(vm, _rm, _fn, args)
-
-                    cm = OptCompiled(
-                        rm,
-                        executor,
-                        opt_level=1,
-                        specialized_state=state_label,
-                        code_size_bytes=(
-                            fn.instr_count() * IR_INSTR_BYTES
-                        ),
-                        ir=fn,
-                    )
-                elif artifact.get("kind") == "opt2" and opt_level == 2:
+                if artifact.get("kind") == "opt2":
                     source, executor = link_opt2(self.vm, artifact)
                     cm = OptCompiled(
                         rm,

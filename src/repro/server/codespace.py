@@ -41,10 +41,11 @@ from repro.vm.runtime import VM, VMConfig
 
 
 def _warmup_config() -> AdaptiveConfig:
-    """Aggressive promotion for the warmup run: the template should
-    reach the final tiers in one pass so sessions never want for
-    compiled code."""
-    return AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
+    """Aggressive promotion for the warmup run: a method's second call
+    (or a loop's first 16 backedges past its entry) reaches opt2, so
+    sessions never want for compiled code, while methods called once
+    stay at opt0 instead of paying for a compile they cannot repay."""
+    return AdaptiveConfig(promote_ticks=32)
 
 
 class CodeSpace:

@@ -1,9 +1,11 @@
 """The adaptive optimization system.
 
 JxVM's analog of Jikes RVM's AOS (paper §3.2.1): methods start at opt0
-(the bytecode interpreter), accumulate *ticks* (16 per entry, 1 per loop
-backedge), and are synchronously recompiled at opt1 and then opt2 when
-their ticks cross the configured thresholds.
+(the quickened bytecode interpreter), accumulate *ticks* (16 per entry,
+1 per loop backedge), and are synchronously recompiled at opt2 when
+their ticks cross ``AdaptiveConfig.promote_ticks``.  That is the only
+promotion: the paper's middle tier (opt1) ran slower than opt0 on this
+substrate, so it was removed (see DESIGN.md, decision 21).
 
 Two paper-relevant behaviors:
 
@@ -11,9 +13,9 @@ Two paper-relevant behaviors:
   the mutation manager's Fig. 5 actions run right after installation
   (the manager is registered as a recompilation listener).
 * **Accelerated hotness detection** (paper Fig. 14) — methods named in
-  ``AdaptiveConfig.accelerated`` are promoted straight to the maximum
-  opt level on their first invocation, modeling "opt1 and opt2 compiled
-  code ... generated immediately after their opt0 compiled code".
+  ``AdaptiveConfig.accelerated`` are promoted to opt2 on their first
+  invocation, modeling "opt1 and opt2 compiled code ... generated
+  immediately after their opt0 compiled code".
 """
 
 from __future__ import annotations
@@ -38,12 +40,15 @@ NEVER = 1 << 60
 #: duplicated and only pinned equal by a test).
 ENTRY_TICKS = 16
 
+#: The one optimizing tier methods are promoted to.
+OPT_LEVEL = 2
+
 #: Recorded ``tier_promote`` telemetry of one full jbb2000 run: the
-#: promotion-tick defaults below are *derived* from this trace instead
-#: of hand-picked, so the thresholds stay anchored to measured hotness
+#: promotion-tick default below is *derived* from this trace instead of
+#: hand-picked, so the threshold stays anchored to measured hotness
 #: (regenerate by re-recording the trace after retuning the workload).
 _TIER_TRACE = Path(__file__).with_name("tier_trace_jbb2000.json")
-_HAND_PICKED_TICKS = {1: 512, 2: 4096}
+_HAND_PICKED_TICKS = 512
 
 
 def _pow2_floor(n: int) -> int:
@@ -51,28 +56,27 @@ def _pow2_floor(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _traced_ticks(to_level: int) -> int:
-    """Promotion threshold for ``to_level`` seeded from the recorded
-    jbb2000 trace: the power-of-two floor of the smallest tick count any
-    non-accelerated method was promoted at (promotions fire when ticks
-    cross the threshold, so the floor recovers it), clamped to the
-    hand-picked value so trace noise can only lower a threshold, never
-    raise one past the tuned default.  Falls back to the hand-picked
-    value when the trace is missing or has no such promotions."""
-    fallback = _HAND_PICKED_TICKS[to_level]
+def _traced_ticks() -> int:
+    """Promotion threshold seeded from the recorded jbb2000 trace: the
+    power-of-two floor of the smallest tick count any non-accelerated
+    method left opt0 at (promotions fire when ticks cross the threshold,
+    so the floor recovers it), clamped to the hand-picked value so trace
+    noise can only lower the threshold, never raise it past the tuned
+    default.  Falls back to the hand-picked value when the trace is
+    missing or has no such promotions."""
     try:
         with open(_TIER_TRACE, encoding="utf-8") as handle:
             trace = json.load(handle)
     except (OSError, ValueError):
-        return fallback
+        return _HAND_PICKED_TICKS
     ticks = [
         p["ticks"]
         for p in trace.get("promotions", ())
-        if p.get("to_level") == to_level and not p.get("accelerated")
+        if p.get("from_level") == 0 and not p.get("accelerated")
     ]
     if not ticks:
-        return fallback
-    return max(min(_pow2_floor(min(ticks)), fallback), ENTRY_TICKS)
+        return _HAND_PICKED_TICKS
+    return max(min(_pow2_floor(min(ticks)), _HAND_PICKED_TICKS), ENTRY_TICKS)
 
 
 @dataclass
@@ -85,14 +89,10 @@ class AdaptiveConfig:
     ENTRY_TICKS = ENTRY_TICKS
 
     enabled: bool = True
-    #: Ticks before promotion opt0 -> opt1 (16 ticks per invocation);
+    #: Ticks before promotion opt0 -> opt2 (16 ticks per invocation);
     #: default derived from the recorded jbb2000 tier trace.
-    opt1_ticks: int = field(default_factory=lambda: _traced_ticks(1))
-    #: Ticks before promotion opt1 -> opt2; likewise trace-derived.
-    opt2_ticks: int = field(default_factory=lambda: _traced_ticks(2))
-    #: Highest optimization level to use (0 disables recompilation).
-    max_opt_level: int = 2
-    #: Qualified method names promoted straight to max level on first call.
+    promote_ticks: int = field(default_factory=_traced_ticks)
+    #: Qualified method names promoted to opt2 on their first call.
     accelerated: frozenset[str] = frozenset()
 
 
@@ -149,12 +149,12 @@ class AdaptiveSystem:
     def prime(self, rm: Any) -> None:
         """Set a method's initial promotion threshold."""
         cfg = self.config
-        if not cfg.enabled or cfg.max_opt_level < 1:
+        if not cfg.enabled:
             rm.samples.threshold = NEVER
         elif rm.info.qualified_name in cfg.accelerated:
             rm.samples.threshold = 1
         else:
-            rm.samples.threshold = cfg.opt1_ticks
+            rm.samples.threshold = cfg.promote_ticks
 
     def prime_all(self) -> None:
         for rc in self.vm.classes.values():
@@ -168,40 +168,31 @@ class AdaptiveSystem:
         """Promotion check, called when a method's ticks cross its
         threshold.  Synchronously recompiles and installs."""
         cfg = self.config
-        if not cfg.enabled or self._compiling:
-            rm.samples.threshold = NEVER
-            return
+        # One rung: retire the threshold *before* compiling so nested
+        # invocations of this method during compilation cannot re-enter.
+        rm.samples.threshold = NEVER
         current = rm.compiled.opt_level
-        if current >= cfg.max_opt_level:
-            rm.samples.threshold = NEVER
+        if not cfg.enabled or self._compiling or current >= OPT_LEVEL:
             return
         accelerated = rm.info.qualified_name in cfg.accelerated
-        next_level = cfg.max_opt_level if accelerated else current + 1
-        next_level = min(next_level, cfg.max_opt_level)
         tel = _tel_maybe(self.vm.telemetry)
         if tel is not None:
             tel.emit(
                 "tier_promote",
                 method=rm.info.qualified_name,
                 from_level=current,
-                to_level=next_level,
+                to_level=OPT_LEVEL,
                 ticks=rm.samples.ticks,
                 invocations=rm.samples.invocations,
                 accelerated=accelerated,
             )
-            tel.count(f"adaptive.promotions.opt{next_level}")
+            tel.count(f"adaptive.promotions.opt{OPT_LEVEL}")
             tel.observe(
                 "adaptive.ticks_at_promotion",
                 rm.samples.ticks,
                 bounds=COUNT_BUCKETS,
             )
-        # Bump the threshold *before* compiling so nested invocations of
-        # this method during compilation cannot re-enter.
-        if next_level >= cfg.max_opt_level:
-            rm.samples.threshold = NEVER
-        else:
-            rm.samples.threshold = cfg.opt2_ticks
-        self.recompile(rm, next_level)
+        self.recompile(rm, OPT_LEVEL)
 
     def recompile(self, rm: Any, opt_level: int) -> None:
         """Compile ``rm`` at ``opt_level``, install, notify listeners."""

@@ -6,20 +6,19 @@ JxVM mirrors Jikes RVM's compile-only model (paper §3.2.1):
 * recompilation replaces it and patches every table that referenced it
   (class TIB, subclass TIBs, special TIBs, JTOC);
 * a mutable method can additionally have one *special* compiled method
-  per hot state, generated when the general method is recompiled at the
-  top optimization level (paper Fig. 5);
+  per hot state, generated when the general method is recompiled at
+  opt2 (paper Fig. 5);
 * sampling information lives on the :class:`MethodSamples` object owned
   by the method — shared by the general and all special compiled methods,
   so specialization does not dilute hotness (paper §3.2.3, last
   paragraph).
 
-Execution tiers:
+Execution tiers (no opt1; see :mod:`repro.vm.adaptive`):
 
 ====== ============================== =======================
 level  class                          engine
 ====== ============================== =======================
 opt0   :class:`BaselineCompiled`      bytecode interpreter
-opt1   :class:`OptCompiled`           optimized-IR interpreter
 opt2   :class:`OptCompiled`           generated Python code
 ====== ============================== =======================
 """
@@ -123,7 +122,7 @@ class BaselineCompiled(CompiledMethod):
 
 
 class OptCompiled(CompiledMethod):
-    """opt1/opt2: runs an executor produced by the optimizing compiler.
+    """opt2: runs an executor produced by the optimizing compiler.
 
     The executor signature is ``executor(vm, args) -> value``.
     """

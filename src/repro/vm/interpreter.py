@@ -188,8 +188,8 @@ def interpret(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                         # The method just got promoted under this frame:
                         # transfer the live frame into the compiled code
                         # instead of interpreting the rest of the loop
-                        # (cold path — the threshold is now retired or
-                        # far away, so steady state never reaches here).
+                        # (cold path — the threshold is now retired, so
+                        # steady state never reaches here).
                         if (
                             osr is not None
                             and not stack

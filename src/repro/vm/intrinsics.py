@@ -7,7 +7,7 @@ program output and the deterministic RNG.
 
 The RNG is a 48-bit LCG with ``java.util.Random``'s constants so workload
 traffic (e.g. the SPECjbb transaction mix) is reproducible across runs and
-across execution tiers (interpreter / opt1 / opt2 must see identical
+across execution tiers (interpreter / opt2 must see identical
 streams for the mutation-equivalence property tests to be meaningful).
 """
 

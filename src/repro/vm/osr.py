@@ -14,11 +14,8 @@ code.  This module adds both transfers:
   parameter (:func:`repro.opt.lowering.lower_method_osr`).  Dead locals
   are nulled from the instruction-level liveness analysis
   (:mod:`repro.analysis.liveness`) so the transferred frame carries no
-  stale state.  Continuations compile at the *final* tier directly: the
-  frame has already proven itself hot, and re-entering the gradual
-  opt1 -> opt2 ladder mid-frame would strand a single-invocation frame
-  at opt1 forever (generated code has no back-edge counters to climb
-  out on).
+  stale state.  Continuations compile at opt2, the one optimizing
+  tier: the frame has already proven itself hot.
 
 * **deopt** (specialized -> opt0) — specialized code elides state
   dispatch with **no value guards** (paper §2.2); the TIB-swap protocol
@@ -53,7 +50,7 @@ from typing import Any
 from repro.analysis.liveness import live_locals
 from repro.opt.ir import Extra, IRFunction, IRInstr, Reg
 from repro.telemetry.core import maybe as _tel_maybe
-from repro.vm.adaptive import CompileEvent
+from repro.vm.adaptive import OPT_LEVEL, CompileEvent
 from repro.vm.interpreter import interpret
 
 __all__ = ["OSRManager", "deopt_to_interpreter", "insert_deopt_points"]
@@ -90,8 +87,7 @@ class OSRManager:
 
     def _build_entry(self, rm: Any, pc: int) -> Any:
         vm = self.vm
-        cfg = vm.adaptive.config
-        level = 2 if cfg.max_opt_level >= 2 else 1
+        level = OPT_LEVEL
         # The compensation set: locals dead at the entry pc are nulled
         # so the transferred frame carries exactly the state the
         # abstract interpreter frame would.
@@ -123,7 +119,7 @@ class OSRManager:
         start = time.perf_counter()
         try:
             executor, code_size = vm.opt_compiler.compile_osr_continuation(
-                rm, pc, level
+                rm, pc
             )
         except Exception:
             # An OSR miss must never take down a program the plain

@@ -40,11 +40,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.bytecode.classfile import CONSTRUCTOR_NAME, FieldInfo, ProgramUnit
-from repro.bytecode.opcodes import CALL_OPS, Op
-from repro.mutation.lifetime import (
+from repro.bytecode.ctorfields import (
     ctor_constant_fields,
     fields_assigned_outside_ctors,
 )
+from repro.bytecode.opcodes import CALL_OPS, Op
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.heap import OBJECT_HEADER_BYTES, WORD_BYTES
 

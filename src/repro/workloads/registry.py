@@ -127,9 +127,15 @@ def paper_workloads() -> list[WorkloadSpec]:
     return [_REGISTRY[name] for name in PAPER_ORDER if name in _REGISTRY]
 
 
+_LOADED = False
+
+
 def _ensure_loaded() -> None:
-    """Import workload modules so their register() calls run."""
-    if _REGISTRY:
+    """Import workload modules so their register() calls run.  Guarded
+    by a flag, not by registry emptiness: importing one workload module
+    directly registers it without loading the others."""
+    global _LOADED
+    if _LOADED:
         return
     from repro.workloads import (  # noqa: F401
         csvtoxml,
@@ -139,3 +145,5 @@ def _ensure_loaded() -> None:
         weka,
     )
     from repro.workloads.specjbb import jbb2000, jbb2005  # noqa: F401
+
+    _LOADED = True

@@ -7,12 +7,12 @@ from typing import Any
 from repro import AdaptiveConfig, VM, compile_source
 from repro.mutation import MutationPlan, build_mutation_plan
 
-#: Promote aggressively so small test programs reach opt2.
-AGGRESSIVE = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
+#: Promote aggressively so small test programs reach opt2: on a
+#: method's second call, or 16 back-edges into its first (mid-loop, so
+#: OSR-on runs really transfer frames).
+AGGRESSIVE = AdaptiveConfig(promote_ticks=32)
 #: Interpreter only.
 INTERP_ONLY = AdaptiveConfig(enabled=False)
-#: Stop at opt1 (IR interpreter tier).
-OPT1_ONLY = AdaptiveConfig(opt1_ticks=16, max_opt_level=1)
 
 
 def run_source(
@@ -55,12 +55,10 @@ def run_vm(
 
 
 def assert_all_tiers_agree(source: str, seed: int = 42) -> str:
-    """Run on opt0-only, opt1-capped, and aggressive-opt2 configs and
-    assert identical output; returns the common output."""
+    """Run on opt0-only and aggressive-opt2 configs and assert
+    identical output; returns the common output."""
     expected = run_source(source, INTERP_ONLY, seed=seed)
-    opt1 = run_source(source, OPT1_ONLY, seed=seed)
     opt2 = run_source(source, AGGRESSIVE, seed=seed)
-    assert opt1 == expected, f"opt1 diverged:\n{opt1!r}\nvs\n{expected!r}"
     assert opt2 == expected, f"opt2 diverged:\n{opt2!r}\nvs\n{expected!r}"
     return expected
 

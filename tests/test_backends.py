@@ -1,28 +1,31 @@
-"""Backend-specific tests: pycodegen shapes, IR interpreter parity,
-interface dispatch through conflict stubs end-to-end."""
+"""Backend-specific tests: pycodegen shapes, parity with the opt0
+interpreter, interface dispatch through conflict stubs end-to-end."""
 
 from repro import VM, compile_source
-from repro.opt.irinterp import execute_ir
 from repro.opt.lowering import lower_method
 from repro.opt.pycodegen import generate_python
 from repro.vm.imt import ConflictStub, imt_slot_for
 from repro.vm.linker import Linker
-from tests.helpers import AGGRESSIVE, assert_all_tiers_agree, run_vm
+from tests.helpers import (
+    AGGRESSIVE,
+    INTERP_ONLY,
+    assert_all_tiers_agree,
+    run_vm,
+)
 
 
-def compile_method_both_ways(source, cls, key, args, adaptive=None):
-    """Lower + run one method through the IR interpreter and the Python
-    backend; returns (ir_result, py_result)."""
-    unit = compile_source(source)
-    vm = VM(unit, adaptive_config=adaptive or AGGRESSIVE)
+def compile_method_both_ways(source, cls, key, args):
+    """Run one static method through the opt0 interpreter and through
+    the Python backend on freshly lowered IR; returns
+    (interp_result, py_result)."""
+    interp_vm = VM(compile_source(source), adaptive_config=INTERP_ONLY)
+    interp_result = interp_vm.call_static(cls, key, list(args))
+    vm = VM(compile_source(source), adaptive_config=AGGRESSIVE)
     vm.initialize()
     rm = vm.lookup(cls, key)
-    fn = lower_method(rm.info)
-    ir_result = execute_ir(vm, rm, fn, list(args))
-    fn2 = lower_method(rm.info)
-    _, executor = generate_python(fn2, rm)
+    _, executor = generate_python(lower_method(rm.info), rm)
     py_result = executor(vm, list(args))
-    return ir_result, py_result
+    return interp_result, py_result
 
 
 ARITH = """
@@ -40,10 +43,10 @@ class Main { static void main() { } }
 
 def test_ir_and_python_backends_agree_on_arith():
     for a, b in [(0, 1), (5, 3), (-7, 2), (100, -41), (9999, 7)]:
-        ir_result, py_result = compile_method_both_ways(
+        interp_result, py_result = compile_method_both_ways(
             ARITH, "M", "mix", [a, b]
         )
-        assert ir_result == py_result, (a, b)
+        assert interp_result == py_result, (a, b)
 
 
 def test_single_block_function_is_straight_line():

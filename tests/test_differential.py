@@ -1,6 +1,6 @@
 """Differential test layer: every registered workload must produce
 byte-identical output across every execution configuration —
-interpreter, opt1, opt2, mutation/specialization, and cold/warm
+interpreter, opt2, mutation/specialization, and cold/warm
 compile-cache runs.  Any tier- or cache-dependent divergence is a VM
 bug by definition (the paper's transformation is semantics-preserving).
 """
@@ -13,7 +13,7 @@ from repro import VM, VMConfig, compile_source
 from repro.mutation import build_mutation_plan
 from repro.mutation.plan import MutationPlan
 from repro.workloads import PAPER_ORDER, get_workload
-from tests.helpers import AGGRESSIVE, INTERP_ONLY, OPT1_ONLY
+from tests.helpers import AGGRESSIVE, INTERP_ONLY
 
 SCALE = 0.03
 
@@ -58,9 +58,6 @@ def test_all_configurations_byte_identical(name, tmp_path):
         f"{name}: quicken-off interpreter diverged"
     )
     assert noquick_vm.quickener is None
-
-    opt1, _ = _run(spec, source, OPT1_ONLY)
-    assert opt1 == reference, f"{name}: opt1 diverged from interpreter"
 
     opt2, _ = _run(spec, source, AGGRESSIVE)
     assert opt2 == reference, f"{name}: opt2 diverged from interpreter"

@@ -1,6 +1,6 @@
 """Inliner and adaptive-system tests."""
 
-from repro import VM, compile_source
+from repro import VM, Telemetry, compile_source
 from repro.mutation import build_mutation_plan
 from repro.vm.adaptive import AdaptiveConfig
 from repro.vm.compiled import NEVER
@@ -82,10 +82,21 @@ def test_recursive_method_not_inlined_into_itself():
 
 
 def test_adaptive_promotion_ladder():
-    vm = run_vm(CALLS, AdaptiveConfig(opt1_ticks=64, opt2_ticks=100000))
+    """One rung: a method leaves opt0 for opt2 on the call whose ticks
+    cross the threshold, and its threshold is then retired."""
+    tel = Telemetry()
+    vm = VM(compile_source(CALLS),
+            adaptive_config=AdaptiveConfig(promote_ticks=64), telemetry=tel)
+    vm.run()
     add3 = vm.classes["Helper"].own_methods["add3"]
-    assert add3.compiled.opt_level == 1  # stuck below the opt2 threshold
-    assert add3.samples.threshold == 100000
+    assert add3.compiled.opt_level == 2
+    assert add3.samples.threshold == NEVER
+    assert [level for level, _ in add3.compile_history] == [2]
+    promotes = [e.args for e in tel.bus.events("tier_promote")
+                if e.args["method"] == "Helper.add3"]
+    assert len(promotes) == 1
+    assert promotes[0]["from_level"] == 0 and promotes[0]["to_level"] == 2
+    assert promotes[0]["ticks"] == 64  # the 4th call, 16 ticks each
 
 
 def test_adaptive_disabled_stays_baseline():
@@ -100,8 +111,7 @@ def test_accelerated_methods_jump_to_opt2():
     vm = VM(
         unit,
         adaptive_config=AdaptiveConfig(
-            opt1_ticks=1 << 40,
-            opt2_ticks=1 << 40,
+            promote_ticks=1 << 40,
             accelerated=frozenset({"Helper.add3"}),
         ),
     )
@@ -109,7 +119,7 @@ def test_accelerated_methods_jump_to_opt2():
     add3 = vm.classes["Helper"].own_methods["add3"]
     assert add3.compiled.opt_level == 2
     twice = vm.classes["Helper"].own_methods["twice"]
-    assert twice.compiled.opt_level == 0  # thresholds unreachable
+    assert twice.compiled.opt_level == 0  # threshold unreachable
 
 
 def test_recompilation_patches_subclass_tibs():
@@ -183,10 +193,10 @@ def test_specialization_inlining_uses_lifetime_constants():
 # ---------------------------------------------------------------------------
 
 def test_promotion_thresholds_seeded_from_recorded_trace():
-    """The default tick thresholds derive from the recorded jbb2000
-    ``tier_promote`` trace: each is the power-of-two floor of the
-    smallest recorded promotion-tick count for its level, never above
-    the hand-picked value, and the trace itself is well-formed."""
+    """The default tick threshold derives from the recorded jbb2000
+    ``tier_promote`` trace: the power-of-two floor of the smallest
+    recorded tick count at which a method left opt0, never above the
+    hand-picked value, and the trace itself is well-formed."""
     import json
 
     from repro.vm import adaptive as A
@@ -195,33 +205,27 @@ def test_promotion_thresholds_seeded_from_recorded_trace():
     assert trace["workload"] == "jbb2000"
     assert trace["entry_ticks"] == A.ENTRY_TICKS
     assert trace["promotions"], "recorded trace has no promotions"
-    for level in (1, 2):
-        ticks = [
-            p["ticks"] for p in trace["promotions"]
-            if p["to_level"] == level and not p["accelerated"]
-        ]
-        assert ticks, f"trace has no level-{level} promotions"
-        derived = A._traced_ticks(level)
-        # Promotions fire when ticks cross the threshold, so every
-        # recorded count sits at or above what was derived from it.
-        assert derived <= min(ticks)
-        assert derived == A._pow2_floor(derived)  # a power of two
-        assert A.ENTRY_TICKS <= derived <= A._HAND_PICKED_TICKS[level]
-    config = AdaptiveConfig()
-    assert config.opt1_ticks == A._traced_ticks(1)
-    assert config.opt2_ticks == A._traced_ticks(2)
-    assert config.opt1_ticks < config.opt2_ticks
+    ticks = [
+        p["ticks"] for p in trace["promotions"]
+        if p["from_level"] == 0 and not p["accelerated"]
+    ]
+    assert ticks, "trace has no promotions out of opt0"
+    derived = A._traced_ticks()
+    # Promotions fire when ticks cross the threshold, so every recorded
+    # count sits at or above what was derived from it.
+    assert derived <= min(ticks)
+    assert derived == A._pow2_floor(derived)  # a power of two
+    assert A.ENTRY_TICKS <= derived <= A._HAND_PICKED_TICKS
+    assert AdaptiveConfig().promote_ticks == derived == 512
 
 
 def test_trace_seeded_defaults_match_hand_picked_behavior():
-    """Regression: the derived defaults must not promote later than the
-    historical hand-picked 512/4096 thresholds, and a run under each
-    produces byte-identical output with the same promotion ladder."""
+    """Regression: the derived default must not promote later than the
+    hand-picked 512-tick threshold, and a run under each produces
+    byte-identical output."""
     from repro.vm import adaptive as A
 
-    config = AdaptiveConfig()
-    assert config.opt1_ticks <= A._HAND_PICKED_TICKS[1]
-    assert config.opt2_ticks <= A._HAND_PICKED_TICKS[2]
+    assert AdaptiveConfig().promote_ticks <= A._HAND_PICKED_TICKS
     derived_vm = run_vm(CALLS, AdaptiveConfig())
-    hand_vm = run_vm(CALLS, AdaptiveConfig(opt1_ticks=512, opt2_ticks=4096))
+    hand_vm = run_vm(CALLS, AdaptiveConfig(promote_ticks=512))
     assert derived_vm.output == hand_vm.output

@@ -8,7 +8,7 @@ direction), must be unobservable — same program output, same final heap,
 same mutation accounting as a run that was never interrupted.
 
 The capture point is steered without touching the program: the promotion
-threshold ``opt1_ticks = ENTRY_TICKS + n`` lands the hot-crossing on the
+threshold ``promote_ticks = ENTRY_TICKS + n`` lands the hot-crossing on the
 n-th back-edge of the first invocation, and a ``WRITE_AT`` constant
 spliced into the deopt program moves the speculation-killing store to an
 arbitrary iteration of the specialized loop.
@@ -102,9 +102,7 @@ def test_osr_enter_at_nth_backedge_is_unobservable(n):
     ref_out, ref_heap = _reference()
     vm = VM(
         compile_source(PROMOTE_SOURCE),
-        adaptive_config=AdaptiveConfig(
-            opt1_ticks=ENTRY_TICKS + n, opt2_ticks=1 << 40
-        ),
+        adaptive_config=AdaptiveConfig(promote_ticks=ENTRY_TICKS + n),
         config=VMConfig(osr=True),
     )
     out = vm.run().output
@@ -127,9 +125,7 @@ def test_osr_enter_sweep_every_backedge_of_first_loop():
     for n in range(1, 61, 1):
         vm = VM(
             compile_source(PROMOTE_SOURCE),
-            adaptive_config=AdaptiveConfig(
-                opt1_ticks=ENTRY_TICKS + n, opt2_ticks=1 << 40
-            ),
+            adaptive_config=AdaptiveConfig(promote_ticks=ENTRY_TICKS + n),
             config=VMConfig(osr=True),
         )
         out = vm.run().output
@@ -203,7 +199,7 @@ def test_deopt_at_nth_iteration_is_unobservable(write_at):
     """The speculation-invalidating store moves across the specialized
     loop; wherever it lands, the deopted run matches the interpreter."""
     interp_vm, ref = _deopt_run(write_at, INTERP_ONLY)
-    agg = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
+    agg = AdaptiveConfig(promote_ticks=32)
     vm, out = _deopt_run(write_at, agg, osr=True)
     assert out == ref, f"deopt at iteration {write_at} changed output"
     assert heap_digest(vm) == heap_digest(interp_vm)
@@ -257,8 +253,7 @@ def test_failed_continuations_are_cached_as_misses():
     yields the same callable on every subsequent crossing."""
     vm = VM(
         compile_source(PROMOTE_SOURCE),
-        adaptive_config=AdaptiveConfig(opt1_ticks=ENTRY_TICKS + 5,
-                                       opt2_ticks=1 << 40),
+        adaptive_config=AdaptiveConfig(promote_ticks=ENTRY_TICKS + 5),
         config=VMConfig(osr=True),
     )
     vm.run()

@@ -2,7 +2,7 @@
 
 from repro.lang import compile_source
 from repro.mutation.plan import StateFieldSpec
-from repro.mutation.stacksim import StackEvent, walk_method
+from repro.bytecode.stacksim import StackEvent, walk_method
 from repro.profiling import ValueProfiler, profile_methods
 from repro.vm.intrinsics import INTRINSICS, IntrinsicContext
 

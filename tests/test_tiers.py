@@ -1,5 +1,5 @@
-"""Cross-tier equivalence: opt0 (interpreter), opt1 (IR interpreter),
-and opt2 (generated Python) must produce identical program output."""
+"""Cross-tier equivalence: opt0 (interpreter) and opt2 (generated
+Python) must produce identical program output."""
 
 import pytest
 
@@ -50,7 +50,7 @@ def test_loop_only_method_promoted_via_backedges():
     vm = run_vm(source, AGGRESSIVE)
     rm = vm.classes["Main"].own_methods["main"]
     # main is invoked once; only backedge ticks can promote it.
-    assert rm.compiled.opt_level >= 1
+    assert rm.compiled.opt_level == 2
     assert vm.output == "4498500\n"
 
 

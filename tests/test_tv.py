@@ -179,7 +179,7 @@ def test_pinning_shape_corruption_downgrades_plan(monkeypatch):
 def test_osr_entry_missing_live_local_rejected():
     import repro.vm.osr as osr_mod
 
-    agg = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
+    agg = AdaptiveConfig(promote_ticks=32)
 
     def mk():
         return VM(compile_source(LOOP), adaptive_config=agg)
@@ -215,7 +215,7 @@ def test_osr_entry_missing_live_local_rejected():
 def test_osr_entries_validate_clean_after_real_run():
     vm = VM(
         compile_source(LOOP),
-        adaptive_config=AdaptiveConfig(opt1_ticks=16, opt2_ticks=32),
+        adaptive_config=AdaptiveConfig(promote_ticks=32),
     )
     vm.run()
     assert vm.mutation_stats.osr_enters == 1
@@ -269,7 +269,7 @@ def test_deopt_guard_strip_yields_one_finding():
     from repro.analysis.tv import _iter_special_irs
     from tests.test_osr import _deopt_run
 
-    agg = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
+    agg = AdaptiveConfig(promote_ticks=32)
     vm, _ = _deopt_run(100, agg, osr=True)
     assert vm.mutation_stats.osr_deopts >= 1
     assert deopt_guard_findings(vm) == []
