@@ -248,9 +248,10 @@ def step(code: list, st: SymState) -> list[SymState]:
     """Execute ``code[st.pc]`` symbolically; return successor paths.
 
     Handles the full ISA — pristine ops, standalone quickened ops, and
-    every superinstruction — mirroring ``interpret``/``interpret_quick``
-    exactly (including fused null-check placement, live hook reads, and
-    the direct-vs-shape slot discrimination).
+    every superinstruction — mirroring the interpreter
+    (:func:`repro.vm.interpreter.interpret`) exactly (including fused
+    null-check placement, live hook reads, and the direct-vs-shape slot
+    discrimination).
     """
     pc = st.pc
     instr = code[pc]

@@ -211,11 +211,9 @@ def tv_quicken_findings(vm: Any) -> list[Finding]:
 
 def enforce_quicken(vm: Any) -> None:
     """Validate every quickened body; de-quicken the unprovable ones
-    (they revert to pristine interpretation).  Called by
+    (the interpreter then runs their pristine bytecode).  Called by
     ``Quickener.quicken_all`` when ``VMConfig.tv`` is on."""
     quickener = vm.quickener
-    if quickener is None:
-        return
     start = time.perf_counter()
     bodies = findings = downgrades = 0
     for rm in vm.all_runtime_methods():

@@ -247,7 +247,7 @@ COMMUTATIVE_OPS = frozenset({Op.ADD, Op.MUL, Op.BAND, Op.BOR, Op.BXOR,
 #: slots of the instructions they fused (fusion is slot-preserving: the
 #: covered slots keep their original, standalone-correct instructions so
 #: branches may land inside a fused region); every other op covers one.
-#: The widths mirror the ``pc`` increments in ``interpret_quick``.
+#: The widths mirror the ``pc`` increments in ``interpret``.
 OP_WIDTH: dict[Op, int] = {
     Op.LOAD_GETFIELD: 2,
     Op.LOAD_LOAD: 2,

@@ -1,13 +1,16 @@
 """Bytecode quickening and TIB-keyed inline caches.
 
-The baseline interpreter re-resolves ``receiver.tib.entries[offset]``
-(and a full IMT probe for interface calls) on every single call.  This
-module rewrites each method's resolved call/field instructions into
+Pristine bytecode re-resolves ``receiver.tib.entries[offset]`` (and a
+full IMT probe for interface calls) on every single call.  This module
+rewrites each method's resolved call/field instructions into
 *quickened* forms that carry a per-site inline-cache cell, and fuses the
 hottest adjacent opcode pairs into superinstructions.  The rewritten
 body lives in ``rm.quick_code`` — a shallow copy of ``rm.info.code`` —
 so the pristine bytecode keeps serving the verifier, the IR lowering,
-the cache digests, and the coalescing analysis untouched.
+the cache digests, and the coalescing analysis untouched.  Quickening
+always runs, at VM construction; the interpreter
+(:func:`repro.vm.interpreter.interpret`) only ever executes
+``quick_code``.
 
 Why TIB identity is the cache key
 ---------------------------------
@@ -90,11 +93,11 @@ _IDIOM_GETTER = (Op.LOAD, Op.GETFIELD, Op.RETURN)
 def _fast_rm(vm: Any, cm: Any) -> Any:
     """The IC's inline fast-path target for one resolved method, or None.
 
-    When the target is quickened baseline code with no constructor-exit
-    hook and the VM has no telemetry object, the IC records the target
+    When the target is baseline code with no constructor-exit hook and
+    the VM has no telemetry object, the IC records the target
     RuntimeMethod itself (``r0``/``r1``) and the interpreter's hit arm
     folds the ``BaselineCompiled.invoke`` wrapper's work (entry-tick
-    sampling) inline, then jumps straight into ``interpret_quick`` —
+    sampling) inline, then jumps straight into ``interpret`` —
     an IC hit then skips the generic invoke dispatch entirely.  Every
     in-place change that could invalidate this specialization (a
     recompile install replacing the table entry, a mid-run manager
@@ -106,7 +109,6 @@ def _fast_rm(vm: Any, cm: Any) -> Any:
     if (
         vm.telemetry is None
         and type(cm) is BaselineCompiled
-        and rm.quick_code is not None
         and rm.ctor_exit_hook is None
     ):
         return rm
@@ -271,9 +273,9 @@ def _go_megamorphic(vm: Any, ic: Any) -> None:
 class Quickener:
     """Owns every inline-cache cell of one VM.
 
-    Created by the VM when ``VMConfig.quicken`` is on; holds the flush
-    registry that the code installer and the mutation manager notify
-    when they patch dispatch-table entries in place.
+    Every VM has one, built before the mutation manager attaches; it
+    holds the flush registry that the code installer and the mutation
+    manager notify when they patch dispatch-table entries in place.
     """
 
     def __init__(self, vm: Any) -> None:
@@ -293,7 +295,8 @@ class Quickener:
         if getattr(self.vm.config, "tv", False):
             # Translation validation: prove every quickened body
             # observationally equivalent to its pristine bytecode;
-            # unprovable bodies are de-quickened and run pristine.
+            # unprovable bodies are de-quickened and run pristine
+            # bytecode through the same interpreter.
             from repro.analysis.tv import enforce_quicken
 
             enforce_quicken(self.vm)
@@ -476,7 +479,8 @@ class Quickener:
             tel.count("ic.flush")
 
     def dequicken(self, rm: Any) -> None:
-        """Drop a method's quickened body (it reverts to plain
-        interpretation); its cache cells stay registered but inert."""
-        rm.quick_code = None
-        rm.quick_pad = None
+        """Replace a method's quickened body with a copy of its pristine
+        bytecode, which the one interpreter runs unchanged (every slot
+        and pc stays put, so OSR coordinates still hold).  ``quick_pad``
+        is kept; the old body's cache cells stay registered but inert."""
+        rm.quick_code = list(rm.info.code)

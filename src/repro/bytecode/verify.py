@@ -190,7 +190,7 @@ _QUICK_COND_BRANCHES = frozenset({
 def _quick_local_indices(instr: Instr) -> tuple[int, ...]:
     """Local-variable indices a (possibly fused) quick op reads/writes.
 
-    Mirrors the ``locals_[...]`` accesses in ``interpret_quick``:
+    Mirrors the ``locals_[...]`` accesses in ``interpret``:
     superinstructions pack locals into tuple args (``ITER_LT_JF`` packs
     ``(local, limit, target)`` — only ``a[0]`` is a local; ``FIELD_INC``
     packs ``(local, putfield_instr, const)``).
@@ -381,8 +381,8 @@ def verify_quick(method: MethodInfo, code: list[Instr]) -> list[int]:
 
 
 def verify_quick_method(rm) -> list[int]:
-    """Verify ``rm.quick_code`` (a no-op empty result when the method
-    has not been quickened)."""
+    """Verify ``rm.quick_code`` (a no-op empty result for an empty or
+    not-yet-built body)."""
     if not getattr(rm, "quick_code", None):
         return []
     return verify_quick(rm.info, rm.quick_code)

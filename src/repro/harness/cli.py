@@ -72,15 +72,13 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     if not args.quick:
         print(disassemble_program(unit))
         return 0
-    # Quickened bodies only exist in a linked, executed VM (quickening
-    # happens at tier-up), so --quick runs the program first.  Asking
-    # for the quickened view forces quickening on even under
-    # JX_QUICKEN=0.
+    # Quickened bodies only exist in a linked VM (quickening happens at
+    # VM construction); --quick also runs the program so the listing
+    # shows the post-run bodies (megamorphic sites written back).
     from repro.bytecode import disassemble_quick
-    from repro.vm.runtime import VMConfig
 
     plan = build_mutation_plan(source) if args.mutate else None
-    vm = VM(unit, mutation_plan=plan, config=VMConfig(quicken=True))
+    vm = VM(unit, mutation_plan=plan)
     vm.run()
     shown = 0
     for rc in vm.classes.values():
@@ -89,8 +87,7 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
                 print(disassemble_quick(rm))
                 shown += 1
     if not shown:
-        print("(no quickened methods; quickening disabled or "
-              "nothing reached the quickening tier)")
+        print("(no quickened methods)")
     return 0
 
 

@@ -211,8 +211,8 @@ class MutationManager:
         vm.adaptive.recompile_listeners.append(self.on_recompiled)
         # Mid-run attach (the online controller) converts IMT entries
         # and installs hooks under live inline caches; flush them so no
-        # site keeps a pre-attach target.  A no-op at VM construction
-        # (the quickener does not exist yet) and when quickening is off.
+        # site keeps a pre-attach target.  At VM construction the
+        # registry is still empty (quickening runs last).
         vm.flush_inline_caches()
         tel = _tel_maybe(vm.telemetry)
         if tel is not None:

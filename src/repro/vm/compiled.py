@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.vm.adaptive import ENTRY_TICKS, NEVER
-from repro.vm.interpreter import interpret, interpret_quick
+from repro.vm.interpreter import interpret
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bytecode.classfile import MethodInfo
@@ -87,7 +87,8 @@ class CompiledMethod:
 
 
 class BaselineCompiled(CompiledMethod):
-    """opt0: directly interprets the method's bytecode."""
+    """opt0: interprets the method's quickened body (``rm.quick_code``)
+    with :func:`repro.vm.interpreter.interpret`."""
 
     opt_level = 0
 
@@ -103,18 +104,17 @@ class BaselineCompiled(CompiledMethod):
         samples.ticks += ENTRY_TICKS
         if samples.ticks >= samples.threshold:
             vm.adaptive.on_hot(rm)
-        run = interpret if rm.quick_code is None else interpret_quick
         tel = vm.telemetry
         if tel is not None and tel.enabled:
             # Interpreter-tick accounting: entry ticks here, backedge
             # ticks as the delta accumulated while interpreting.
             tel.count("dispatch.opt0")
             before = samples.ticks
-            result = run(vm, rm, args)
+            result = interpret(vm, rm, args)
             tel.count("interp.ticks",
                       ENTRY_TICKS + samples.ticks - before)
         else:
-            result = run(vm, rm, args)
+            result = interpret(vm, rm, args)
         hook = rm.ctor_exit_hook
         if hook is not None:
             hook(vm, args[0])

@@ -1,4 +1,4 @@
-"""The opt0 execution engine: a direct bytecode interpreter.
+"""The opt0 execution engine: JxVM's one bytecode interpreter.
 
 This is JxVM's analog of running a method's baseline-compiled code in
 Jikes RVM: no optimization, straight-line semantics, plus the sampling
@@ -6,6 +6,13 @@ that drives the adaptive system (method-entry ticks are credited by the
 compiled-method wrapper; *backedge* ticks are credited here so that
 loop-dominated methods get hot without being re-invoked — the yieldpoint
 analog).
+
+:func:`interpret` runs ``rm.quick_code``, the body the quickener
+(:mod:`repro.bytecode.quicken`) built at VM construction.  A method whose
+quickened body translation validation could not prove runs its pristine
+bytecode through the same loop (``quick_code`` is then a copy of
+``info.code``), so every pristine opcode has a loop arm or a
+:data:`_COLD` handler.
 
 State-field write hooks: PUTFIELD/PUTSTATIC instructions that the
 mutation manager marked (``instr.state_hook``) invoke the distributed
@@ -117,335 +124,9 @@ class JxStackTrace(VMRuntimeError):
 
 
 def interpret(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
-    """Execute ``rm``'s bytecode with ``args`` as the initial locals.
+    """Execute ``rm.quick_code`` with ``args`` as the leading locals.
 
-    A non-zero ``pc`` resumes mid-method — the OSR deopt path
-    (:func:`repro.vm.osr.deopt_to_interpreter`) re-enters here with the
-    reconstructed frame; deopt pcs always have an empty operand stack,
-    so ``args`` (the full locals list there) plus ``pc`` is the whole
-    frame.
-    """
-    info = rm.info
-    code = info.code
-    locals_: list[Any] = args + [None] * (info.max_locals - len(args))
-    stack: list[Any] = []
-    samples = rm.samples
-    adaptive = vm.adaptive
-    osr = vm.osr
-    tel = vm.telemetry
-    if tel is not None and tel.enabled:
-        tel.count("interp.frames")
-    try:
-        while True:
-            instr = code[pc]
-            op = instr.op
-            pc += 1
-            if op is _LOAD:
-                stack.append(locals_[instr.arg])
-            elif op is _CONST:
-                stack.append(instr.arg)
-            elif op is _STORE:
-                locals_[instr.arg] = stack.pop()
-            elif op is _GETFIELD:
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(
-                        f"null receiver reading field {instr.arg[1]!r}"
-                    )
-                slot = instr.resolved
-                if type(slot) is int:
-                    stack.append(obj.fields[slot])
-                else:
-                    # Shape-managed slot (repro.vm.shapes): a pinned
-                    # state field reads through the TIB's shape when its
-                    # storage is dropped; an unboxed field always does.
-                    stack.append(slot.read(obj))
-            elif op is _PUTFIELD:
-                value = stack.pop()
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(
-                        f"null receiver writing field {instr.arg[1]!r}"
-                    )
-                slot = instr.resolved
-                if type(slot) is int:
-                    obj.fields[slot] = value
-                else:
-                    slot.store(vm, obj, value)
-                # The installed hook IS the policy: re-evaluating hooks
-                # swap the TIB, deferred (coalesced) hooks only count —
-                # so the interpreter honors swap coalescing without
-                # branching on a flag.
-                hook = instr.state_hook
-                if hook is not None:
-                    hook(vm, obj)
-            elif op is _JUMP:
-                target = instr.arg
-                if target < pc:
-                    samples.ticks += 1
-                    if samples.ticks >= samples.threshold:
-                        adaptive.on_hot(rm)
-                        # The method just got promoted under this frame:
-                        # transfer the live frame into the compiled code
-                        # instead of interpreting the rest of the loop
-                        # (cold path — the threshold is now retired, so
-                        # steady state never reaches here).
-                        if (
-                            osr is not None
-                            and not stack
-                            and rm.compiled.opt_level > 0
-                        ):
-                            entry = osr.entry_for(rm, target)
-                            if entry is not None:
-                                return entry(vm, locals_)
-                pc = target
-            elif op is _JUMP_IF_FALSE:
-                if not stack.pop():
-                    target = instr.arg
-                    if target < pc:
-                        samples.ticks += 1
-                        if samples.ticks >= samples.threshold:
-                            adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
-                    pc = target
-            elif op is _JUMP_IF_TRUE:
-                if stack.pop():
-                    target = instr.arg
-                    if target < pc:
-                        samples.ticks += 1
-                        if samples.ticks >= samples.threshold:
-                            adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
-                    pc = target
-            elif op is _ADD:
-                b = stack.pop()
-                stack[-1] = stack[-1] + b
-            elif op is _SUB:
-                b = stack.pop()
-                stack[-1] = stack[-1] - b
-            elif op is _MUL:
-                b = stack.pop()
-                stack[-1] = stack[-1] * b
-            elif op is _CMP_LT:
-                b = stack.pop()
-                stack[-1] = stack[-1] < b
-            elif op is _CMP_LE:
-                b = stack.pop()
-                stack[-1] = stack[-1] <= b
-            elif op is _CMP_GT:
-                b = stack.pop()
-                stack[-1] = stack[-1] > b
-            elif op is _CMP_GE:
-                b = stack.pop()
-                stack[-1] = stack[-1] >= b
-            elif op is _CMP_EQ:
-                b = stack.pop()
-                a = stack[-1]
-                stack[-1] = (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
-            elif op is _CMP_NE:
-                b = stack.pop()
-                a = stack[-1]
-                stack[-1] = (
-                    (a is not b) if _is_ref(a) or _is_ref(b) else (a != b)
-                )
-            elif op is _INVOKEVIRTUAL:
-                argc = instr.arg[2]
-                callargs = stack[-argc:]
-                del stack[-argc:]
-                receiver = callargs[0]
-                if receiver is None:
-                    raise NullPointerError(
-                        f"null receiver calling {instr.arg[1]!r}"
-                    )
-                offset, returns = instr.resolved
-                result = receiver.tib.entries[offset].invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _INVOKESTATIC:
-                argc = instr.arg[2]
-                callargs = stack[-argc:] if argc else []
-                if argc:
-                    del stack[-argc:]
-                cell, returns = instr.resolved
-                result = cell.compiled.invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _INVOKESPECIAL:
-                argc = instr.arg[2]
-                callargs = stack[-argc:]
-                del stack[-argc:]
-                if callargs[0] is None:
-                    raise NullPointerError(
-                        f"null receiver calling {instr.arg[1]!r}"
-                    )
-                target_rm, returns = instr.resolved
-                result = target_rm.compiled.invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _INVOKEINTERFACE:
-                argc = instr.arg[2]
-                callargs = stack[-argc:]
-                del stack[-argc:]
-                receiver = callargs[0]
-                if receiver is None:
-                    raise NullPointerError(
-                        f"null receiver calling {instr.arg[1]!r}"
-                    )
-                slot, key, returns = instr.resolved
-                compiled = receiver.tib.imt.dispatch(receiver, slot, key)
-                result = compiled.invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _GETSTATIC:
-                stack.append(vm.jtoc.get(instr.resolved))
-            elif op is _PUTSTATIC:
-                vm.jtoc.set(instr.resolved, stack.pop())
-                hook = instr.state_hook
-                if hook is not None:
-                    hook(vm, None)
-            elif op is _ALOAD:
-                idx = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise NullPointerError("null array in load")
-                if not 0 <= idx < len(arr.data):
-                    raise ArrayBoundsError(
-                        f"index {idx} out of range [0, {len(arr.data)})"
-                    )
-                stack.append(arr.data[idx])
-            elif op is _ASTORE:
-                value = stack.pop()
-                idx = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise NullPointerError("null array in store")
-                if not 0 <= idx < len(arr.data):
-                    raise ArrayBoundsError(
-                        f"index {idx} out of range [0, {len(arr.data)})"
-                    )
-                arr.data[idx] = value
-            elif op is _ARRAYLEN:
-                arr = stack.pop()
-                if arr is None:
-                    raise NullPointerError("null array in length")
-                stack.append(len(arr.data))
-            elif op is _NEWARRAY:
-                length = stack.pop()
-                arr = VMArray(instr.arg, length, instr.resolved)
-                vm.heap.record_array(length, instr.arg)
-                stack.append(arr)
-            elif op is _NEW:
-                stack.append(instr.resolved.allocate(vm))
-            elif op is _CONCAT:
-                b = stack.pop()
-                stack[-1] = jx_str(stack[-1]) + jx_str(b)
-            elif op is _INTRINSIC:
-                intr = instr.resolved
-                n = intr.nargs
-                if n:
-                    callargs = stack[-n:]
-                    del stack[-n:]
-                    result = intr.fn(vm.intrinsic_ctx, *callargs)
-                else:
-                    result = intr.fn(vm.intrinsic_ctx)
-                if intr.returns:
-                    stack.append(result)
-            elif op is _IDIV:
-                b = stack.pop()
-                stack[-1] = jx_truncate_div(stack[-1], b)
-            elif op is _FDIV:
-                b = stack.pop()
-                if b == 0:
-                    stack[-1] = float("nan") if stack[-1] == 0 else (
-                        float("inf") if stack[-1] > 0 else float("-inf")
-                    )
-                else:
-                    stack[-1] = stack[-1] / b
-            elif op is _IREM:
-                b = stack.pop()
-                stack[-1] = jx_rem(stack[-1], b)
-            elif op is _NEG:
-                stack[-1] = -stack[-1]
-            elif op is _NOT:
-                stack[-1] = not stack[-1]
-            elif op is _I2D:
-                stack[-1] = float(stack[-1])
-            elif op is _D2I:
-                stack[-1] = int(stack[-1])
-            elif op is _SHL:
-                b = stack.pop()
-                stack[-1] = stack[-1] << b
-            elif op is _SHR:
-                b = stack.pop()
-                stack[-1] = stack[-1] >> b
-            elif op is _BAND:
-                b = stack.pop()
-                stack[-1] = stack[-1] & b
-            elif op is _BOR:
-                b = stack.pop()
-                stack[-1] = stack[-1] | b
-            elif op is _BXOR:
-                b = stack.pop()
-                stack[-1] = stack[-1] ^ b
-            elif op is _INSTANCEOF:
-                obj = stack.pop()
-                stack.append(
-                    obj is not None
-                    and instr.resolved.name in obj.tib.type_info.all_supertypes
-                )
-            elif op is _CHECKCAST:
-                obj = stack[-1]
-                if (
-                    obj is not None
-                    and instr.resolved.name
-                    not in obj.tib.type_info.all_supertypes
-                ):
-                    raise ClassCastError(
-                        f"cannot cast {obj.tib.type_info.name} to "
-                        f"{instr.resolved.name}"
-                    )
-            elif op is _RETURN:
-                return stack.pop()
-            elif op is _RETURN_VOID:
-                return None
-            elif op is _POP:
-                stack.pop()
-            elif op is _DUP:
-                stack.append(stack[-1])
-            elif op is _SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op is _NOP:
-                pass
-            else:  # pragma: no cover
-                raise VMRuntimeError(f"unhandled opcode {op!r}")
-    except JxStackTrace as trace:
-        trace.frames.append(_frame_desc(rm, code, pc))
-        raise
-    except VMRuntimeError as exc:
-        if tel is not None and tel.enabled:
-            tel.count("interp.errors")
-        raise JxStackTrace(exc, [_frame_desc(rm, code, pc)]) from exc
-
-
-def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
-    """Execute ``rm.quick_code`` — the quickened dispatch loop.
-
-    Same semantics as :func:`interpret` (identical outputs, tick
-    accounting, hook firing, and stack traces) over the quickened body:
+    Over the quickened body:
 
     * call/field sites run their quickened forms; virtual/interface
       calls go through TIB-identity-keyed inline caches whose hit path
@@ -462,21 +143,21 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
       handling — and the hot ops, where a per-op Python call would cost
       more than the identity ladder — in the loop itself).
 
-    The original :func:`interpret` is untouched so ``JX_QUICKEN=0``
-    runs exactly the pre-quickening code.
+    A non-zero ``pc`` resumes mid-method — the OSR deopt path
+    (:func:`repro.vm.osr.deopt_to_interpreter`) re-enters here with the
+    reconstructed frame.  Quickening is slot- and pc-preserving, so the
+    pristine (locals, pc) coordinates address the quickened body
+    directly; deopt pcs always have an empty operand stack, so ``args``
+    (the full ``max_locals`` list there) plus ``pc`` is the whole frame.
     """
     code = rm.quick_code
     locals_: list[Any] = args + rm.quick_pad
     stack: list[Any] = []
     samples = rm.samples
-    # Quickening is slot- and pc-preserving, so OSR transfers use the
-    # same (locals, pc) coordinates as the pristine interpreter.
-    osr = vm.osr
     tel = vm.telemetry
     tel_on = tel is not None and tel.enabled
     if tel_on:
         tel.count("interp.frames")
-    pc = 0
     try:
         while True:
             instr = code[pc]
@@ -530,7 +211,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                         s0.ticks += _ENTRY_TICKS
                         if s0.ticks >= s0.threshold:
                             vm.adaptive.on_hot(rm0)
-                        result = interpret_quick(vm, rm0, callargs)
+                        result = interpret(vm, rm0, callargs)
                 elif tib is ic.k1:
                     if tel_on:
                         tel.count("ic.hit")
@@ -543,7 +224,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                         s0.ticks += _ENTRY_TICKS
                         if s0.ticks >= s0.threshold:
                             vm.adaptive.on_hot(rm0)
-                        result = interpret_quick(vm, rm0, callargs)
+                        result = interpret(vm, rm0, callargs)
                 else:
                     result = ic.miss(vm, receiver, callargs)
                 if ic.returns:
@@ -557,15 +238,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _tier_up(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _JUMP_IF_FALSE:
                 if not stack.pop():
@@ -573,15 +248,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _tier_up(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _ITER_LT_JF:
                 a = instr.arg
@@ -591,15 +260,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _tier_up(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _INC:
                 a = instr.arg
@@ -685,15 +348,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                 if target < pc:
                     samples.ticks += 1
                     if samples.ticks >= samples.threshold:
-                        vm.adaptive.on_hot(rm)
-                        if (
-                            osr is not None
-                            and not stack
-                            and rm.compiled.opt_level > 0
-                        ):
-                            entry = osr.entry_for(rm, target)
-                            if entry is not None:
-                                return entry(vm, locals_)
+                        entry = _tier_up(vm, rm, target, stack)
+                        if entry is not None:
+                            return entry(vm, locals_)
                 pc = target
             elif op is _CMP_EQ_JF:
                 b = stack.pop()
@@ -705,15 +362,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _tier_up(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _INVOKEINTERFACE_QUICK:
                 ic = instr.resolved
@@ -738,7 +389,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                         s0.ticks += _ENTRY_TICKS
                         if s0.ticks >= s0.threshold:
                             vm.adaptive.on_hot(rm0)
-                        result = interpret_quick(vm, rm0, callargs)
+                        result = interpret(vm, rm0, callargs)
                 elif tib is ic.k1:
                     if tel_on:
                         tel.count("ic.hit")
@@ -751,7 +402,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                         s0.ticks += _ENTRY_TICKS
                         if s0.ticks >= s0.threshold:
                             vm.adaptive.on_hot(rm0)
-                        result = interpret_quick(vm, rm0, callargs)
+                        result = interpret(vm, rm0, callargs)
                 else:
                     result = ic.miss(vm, receiver, callargs)
                 if ic.returns:
@@ -770,8 +421,11 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     slot.store(vm, obj, value)
                 # Quick code shares PUTFIELD/PUTSTATIC Instr objects
                 # with ``info.code``, so hooks installed mid-run (the
-                # online controller) are live here too; the installed
-                # hook IS the policy, exactly as in interpret().
+                # online controller) are live here too.  The installed
+                # hook IS the policy: re-evaluating hooks swap the TIB,
+                # deferred (coalesced) hooks only count — so the
+                # interpreter honors swap coalescing without branching
+                # on a flag.
                 hook = instr.state_hook
                 if hook is not None:
                     hook(vm, obj)
@@ -850,15 +504,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _tier_up(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _CMP_LE:
                 b = stack.pop()
@@ -938,9 +586,26 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
         raise JxStackTrace(exc, [_frame_desc(rm, code, pc)]) from exc
 
 
+def _tier_up(vm: Any, rm: Any, target: int, stack: list) -> Any:
+    """A back-edge to ``target`` crossed ``rm``'s promotion threshold:
+    run the adaptive system's hot hook, then return the OSR entry that
+    moves this frame into the freshly compiled code, or ``None`` to keep
+    interpreting.
+
+    Cold by construction — promotion retires the threshold, so steady
+    state never calls it; the loop keeps the tick compare inline.
+    """
+    vm.adaptive.on_hot(rm)
+    osr = vm.osr
+    if osr is None or stack or rm.compiled.opt_level == 0:
+        return None
+    return osr.entry_for(rm, target)
+
+
 # ----------------------------------------------------------------------
-# Cold-tail handler table: straight-line stack ops the quick loop's hot
-# head never sees in measured workloads.  Handlers take (vm, instr,
+# Cold-tail handler table: straight-line stack ops the loop's hot head
+# never sees in measured workloads, plus plain GETFIELD, which only a
+# pristine (de-quickened) body executes.  Handlers take (vm, instr,
 # stack) and never touch pc — all branch/return/locals ops stay in the
 # loop, so the table stays trivially composable.
 # ----------------------------------------------------------------------
@@ -1028,6 +693,22 @@ def _h_newarray(vm: Any, instr: Any, stack: list) -> None:
     stack.append(arr)
 
 
+def _h_getfield(vm: Any, instr: Any, stack: list) -> None:
+    # Pristine GETFIELD (a de-quickened body): the quickener splits it
+    # into GETFIELD_QUICK and GETFIELD_SHAPE, so this arm decides
+    # between the two slot kinds at run time.
+    obj = stack.pop()
+    if obj is None:
+        raise NullPointerError(
+            f"null receiver reading field {instr.arg[1]!r}"
+        )
+    slot = instr.resolved
+    if type(slot) is int:
+        stack.append(obj.fields[slot])
+    else:
+        stack.append(slot.read(obj))
+
+
 def _h_getfield_shape(vm: Any, instr: Any, stack: list) -> None:
     # GETFIELD whose resolved slot is shape-managed (an unboxed constant
     # or a pinned state field): quickening routes it here instead of
@@ -1064,6 +745,7 @@ def _build_cold_table() -> list:
     table[_CHECKCAST] = _h_checkcast
     table[_NEW] = _h_new
     table[_NEWARRAY] = _h_newarray
+    table[_GETFIELD] = _h_getfield
     table[_GETFIELD_SHAPE] = _h_getfield_shape
     table[_SWAP] = _h_swap
     table[_NOP] = _h_nop

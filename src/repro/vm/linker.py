@@ -83,7 +83,9 @@ class RuntimeMethod:
         self.compile_history: list[tuple[int, float]] = []
         #: Quickened body (:mod:`repro.bytecode.quicken`): a runtime-only
         #: shadow of ``info.code`` with inline-cache call/field sites and
-        #: fused superinstructions; ``None`` when quickening is off.
+        #: fused superinstructions — the body the interpreter runs (a
+        #: pristine copy once de-quickened); ``None`` only until the VM
+        #: finishes construction.
         self.quick_code: list | None = None
         #: Precomputed ``[None] * (max_locals - num_args)`` so the
         #: quickened frame prologue builds its locals with one concat.

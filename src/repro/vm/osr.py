@@ -24,8 +24,8 @@ code.  This module adds both transfers:
   of the frame.  The specializer therefore plants ``deoptcheck``
   instructions after each re-evaluating state write on ``this``
   (:func:`insert_deopt_points`): if the receiver's TIB moved, the frame
-  bails to :func:`deopt_to_interpreter`, which resumes the bytecode
-  interpreter at the recorded pc with the reconstructed locals.  Both
+  bails to :func:`deopt_to_interpreter`, which resumes the method's
+  quickened body at the recorded pc with the reconstructed locals.  Both
   continuing and deopting are behaviorally correct (the specializer
   never folds self-written fields), which is exactly what makes the
   differential tests able to compare ``JX_OSR`` on/off byte-for-byte.
@@ -33,8 +33,10 @@ code.  This module adds both transfers:
 Frame mapping is trivial by construction: transfers happen only at pcs
 where the operand stack is provably empty (loop back-edge targets, and
 post-store pcs recorded by the lowerer only at depth 0), so the frame
-*is* the locals list.  Quickening is slot- and pc-preserving, so frames
-captured in ``interpret_quick`` transfer with the same coordinates.
+*is* the locals list.  Quickening is slot- and pc-preserving, so the
+pristine-bytecode pcs the lowerer records address ``rm.quick_code``
+directly: the mapping between the two code versions is the identity,
+in both directions.
 
 Sessions of a shared code space never OSR-enter (their thresholds are
 frozen at NEVER), but deopt guards baked into shared specialized code
@@ -194,8 +196,9 @@ class OSRManager:
 
 
 def deopt_to_interpreter(vm: Any, rm: Any, pc: int, locals_: list) -> Any:
-    """Resume ``rm`` in the bytecode interpreter at ``pc`` with the
-    reconstructed ``locals_`` frame (the OSR exit / mid-frame deopt).
+    """Resume ``rm``'s quickened body (``rm.quick_code``) at ``pc`` with
+    the reconstructed ``locals_`` frame (the OSR exit / mid-frame
+    deopt); ``locals_`` holds all ``max_locals`` slots.
 
     Called from specialized code when a ``deoptcheck`` guard observes
     that the receiver's TIB moved off the specialized-for state.  No

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bytecode.classfile import ProgramUnit
+from repro.bytecode.quicken import Quickener
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.adaptive import AdaptiveConfig, AdaptiveSystem, CompileStats
 from repro.vm.heap import HeapStats
@@ -53,11 +54,6 @@ from repro.vm.values import VMRuntimeError
 
 #: Jx recursion maps onto Python recursion; give deep workloads room.
 _MIN_RECURSION_LIMIT = 20000
-
-
-def _quicken_default() -> bool:
-    """Quickening defaults on; ``JX_QUICKEN=0`` disables it globally."""
-    return os.environ.get("JX_QUICKEN", "1") != "0"
 
 
 def _osr_default() -> bool:
@@ -90,11 +86,6 @@ class VMConfig:
     """VM-level execution tunables (the adaptive system has its own
     :class:`~repro.vm.adaptive.AdaptiveConfig`)."""
 
-    #: Rewrite interpreted bytecode into quickened forms with TIB-keyed
-    #: inline caches and fused superinstructions
-    #: (:mod:`repro.bytecode.quicken`).  Off, the VM runs exactly the
-    #: pre-quickening interpreter.
-    quicken: bool = field(default_factory=_quicken_default)
     #: On-stack replacement (:mod:`repro.vm.osr`): transfer running
     #: interpreter frames into compiled code at hot loop back-edges, and
     #: bail compiled specialized frames back to the interpreter when a
@@ -290,7 +281,9 @@ class VM:
         )
         self._opt_compiler: Any = None
         self.mutation_manager: Any = None
-        self.quickener: Any = None
+        # The inline-cache registry exists before the mutation manager
+        # attaches (attach flushes it); its cells are built last, below.
+        self.quickener: Any = Quickener(self)
         if self.config.osr:
             from repro.vm.osr import OSRManager
 
@@ -307,11 +300,7 @@ class VM:
         # exist, so the quickened bodies see the final link state.  The
         # quickener registry is what install paths flush when they patch
         # dispatch-table entries in place.
-        if self.config.quicken:
-            from repro.bytecode.quicken import Quickener
-
-            self.quickener = Quickener(self)
-            self.quickener.quicken_all()
+        self.quickener.quicken_all()
 
     # ------------------------------------------------------------------
 
@@ -319,10 +308,8 @@ class VM:
         """Reset every inline-cache key.  Called by the code installer
         and the mutation manager whenever dispatch-table entries are
         patched *in place* (TIB identity unchanged) so no site keeps a
-        stale cached target; a no-op when quickening is off."""
-        quickener = self.quickener
-        if quickener is not None:
-            quickener.flush()
+        stale cached target."""
+        self.quickener.flush()
 
     @property
     def opt_compiler(self) -> Any:

@@ -54,6 +54,15 @@ def run_vm(
     return vm
 
 
+def dequicken_all(vm: VM) -> VM:
+    """Run every method's pristine bytecode through the one interpreter:
+    the translation-validation downgrade (``Quickener.dequicken``)
+    applied to every method.  Returns ``vm``."""
+    for rm in vm.all_runtime_methods():
+        vm.quickener.dequicken(rm)
+    return vm
+
+
 def assert_all_tiers_agree(source: str, seed: int = 42) -> str:
     """Run on opt0-only and aggressive-opt2 configs and assert
     identical output; returns the common output."""

@@ -397,12 +397,7 @@ def test_verify_method_rejects_quick_ops_in_pristine_code():
 
 
 def test_verify_quick_accepts_all_quickened_workload_bodies():
-    from repro import VMConfig
-
-    # Quickening must be on regardless of the JX_QUICKEN matrix leg —
-    # the verifier under test only sees bodies the quickener produced.
-    vm = _mutated_vm(adaptive_config=AGGRESSIVE,
-                     config=VMConfig(quicken=True))
+    vm = _mutated_vm(adaptive_config=AGGRESSIVE)
     vm.run()
     checked = 0
     for rc in vm.classes.values():
@@ -438,10 +433,7 @@ def test_verify_quick_structural_violations():
 
 
 def test_quick_disasm_shows_fusion_and_covered_slots():
-    from repro import VMConfig
-
-    vm = _mutated_vm(adaptive_config=AGGRESSIVE,
-                     config=VMConfig(quicken=True))
+    vm = _mutated_vm(adaptive_config=AGGRESSIVE)
     vm.run()
     listings = [
         disassemble_quick(rm)
@@ -459,10 +451,7 @@ def test_quick_disasm_shows_fusion_and_covered_slots():
 def test_quick_code_hook_liveness_check():
     """Replacing the shared PUTFIELD Instr with a copy in the quick body
     (hook no longer live there) is a quick-code finding."""
-    from repro import VMConfig
-
-    vm = _mutated_vm(adaptive_config=AGGRESSIVE,
-                     config=VMConfig(quicken=True))
+    vm = _mutated_vm(adaptive_config=AGGRESSIVE)
     vm.initialize()
     assert lint_vm(vm) == []
     rm = vm.classes["SalaryEmployee"].own_methods["demoteTo"]

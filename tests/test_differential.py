@@ -13,15 +13,18 @@ from repro import VM, VMConfig, compile_source
 from repro.mutation import build_mutation_plan
 from repro.mutation.plan import MutationPlan
 from repro.workloads import PAPER_ORDER, get_workload
-from tests.helpers import AGGRESSIVE, INTERP_ONLY
+from tests.helpers import AGGRESSIVE, INTERP_ONLY, dequicken_all
 
 SCALE = 0.03
 
 
-def _run(spec, source, adaptive, plan=None, cache=None, config=None):
+def _run(spec, source, adaptive, plan=None, cache=None, config=None,
+         pristine=False):
     unit = compile_source(source, entry_class=spec.entry_class)
     vm = VM(unit, mutation_plan=plan, adaptive_config=adaptive,
             compile_cache=cache, config=config)
+    if pristine:
+        dequicken_all(vm)
     return vm.run().output, vm
 
 
@@ -46,18 +49,10 @@ def test_all_configurations_byte_identical(name, tmp_path):
     reference, _ = _run(spec, source, INTERP_ONLY)
     assert reference, f"{name}: interpreter produced no output"
 
-    quick, quick_vm = _run(spec, source, INTERP_ONLY,
-                           config=VMConfig(quicken=True))
-    assert quick == reference, (
-        f"{name}: quickened interpreter diverged"
-    )
-    assert quick_vm.quickener is not None
-    noquick, noquick_vm = _run(spec, source, INTERP_ONLY,
-                               config=VMConfig(quicken=False))
+    noquick, _ = _run(spec, source, INTERP_ONLY, pristine=True)
     assert noquick == reference, (
-        f"{name}: quicken-off interpreter diverged"
+        f"{name}: dequickened interpreter diverged"
     )
-    assert noquick_vm.quickener is None
 
     opt2, _ = _run(spec, source, AGGRESSIVE)
     assert opt2 == reference, f"{name}: opt2 diverged from interpreter"
@@ -91,10 +86,10 @@ def test_all_configurations_byte_identical(name, tmp_path):
 
     special_noquick, _ = _run(
         spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(quicken=False),
+        pristine=True,
     )
     assert special_noquick == reference, (
-        f"{name}: specialized quicken-off run diverged"
+        f"{name}: specialized dequickened run diverged"
     )
 
     # Specialization sharing and memoization must both be invisible in

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import VM, VMConfig, compile_source
+from repro import VM, Telemetry, VMConfig, compile_source
 from repro.vm.adaptive import ENTRY_TICKS, AdaptiveConfig
 from repro.vm.values import VMArray
 from tests.helpers import INTERP_ONLY
@@ -214,6 +214,71 @@ def test_deopt_at_nth_iteration_is_unobservable(write_at):
     off_vm, off_out = _deopt_run(write_at, agg, osr=False)
     assert off_out == ref
     assert off_vm.mutation_stats.osr_deopts == 0
+
+
+DEOPT_IC_SOURCE = """
+class Step {
+    int k;
+    Step(int v) { k = v; }
+    public int get() { return k; }
+}
+class Worker {
+    int mode;
+    Step step;
+    Worker(int m) { mode = m; step = new Step(2); }
+    public int spin(int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i++) {
+            if (mode == 0) { acc = acc + 1; }
+            else { acc = acc + step.get(); }
+            if (i == 100) { mode = 1; }
+        }
+        return acc;
+    }
+}
+class Main {
+    static Worker hot;
+    static void main() {
+        int warm = 0;
+        for (int r = 0; r < 40; r++) {
+            Worker w = new Worker(r % 2);
+            warm = warm + w.spin(50);
+        }
+        hot = new Worker(0);
+        Sys.print("" + hot.spin(900) + " " + warm + " " + hot.mode);
+    }
+}
+"""
+
+
+class _DeoptProbe(Telemetry):
+    """Telemetry that snapshots the ``ic.hit`` counter at each deopt."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hits_at_deopt: list[int] = []
+
+    def emit(self, name, dur=None, **args):
+        if name == "osr_deopt":
+            self.hits_at_deopt.append(self.metrics.counter("ic.hit").value)
+        super().emit(name, dur=dur, **args)
+
+
+def test_deopted_frame_resumes_in_quickened_body():
+    """The frame a deopt hands back runs ``rm.quick_code``: the loop's
+    monomorphic ``step.get()`` site keeps hitting its inline cache
+    after the deopt (pristine bytecode has no inline caches)."""
+    ref = VM(compile_source(DEOPT_IC_SOURCE), mutation_plan=_deopt_plan(),
+             adaptive_config=INTERP_ONLY).run().output
+    probe = _DeoptProbe()
+    vm = VM(compile_source(DEOPT_IC_SOURCE), mutation_plan=_deopt_plan(),
+            adaptive_config=AdaptiveConfig(promote_ticks=32),
+            telemetry=probe, config=VMConfig(osr=True))
+    assert vm.run().output == ref
+    assert len(probe.hits_at_deopt) == vm.mutation_stats.osr_deopts == 1
+    # After the store at i == 100 the resumed frame runs ~800 calls.
+    after = probe.metrics.counter("ic.hit").value - probe.hits_at_deopt[0]
+    assert after >= 700, f"resumed frame hit its inline cache {after}x"
 
 
 # ---------------------------------------------------------------------------

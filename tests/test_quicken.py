@@ -15,7 +15,8 @@ import pytest
 from repro import VM, VMConfig, compile_source
 from repro.bytecode.opcodes import Op, OP_INFO, QUICK_OPS
 from repro.bytecode.quicken import FUSION_PAIRS, InterfaceIC, VirtualIC
-from tests.helpers import AGGRESSIVE, INTERP_ONLY
+from repro.vm.interpreter import JxStackTrace
+from tests.helpers import AGGRESSIVE, INTERP_ONLY, dequicken_all
 
 #: Original-code slots each fused opcode covers (itself included).
 FUSED_SPAN = {
@@ -87,12 +88,11 @@ class Main {
 """
 
 
-def _quick_vm(source, quicken=True, adaptive=None, telemetry=None):
+def _quick_vm(source, adaptive=None, telemetry=None):
     return VM(
         compile_source(source),
         adaptive_config=adaptive or INTERP_ONLY,
         telemetry=telemetry,
-        config=VMConfig(quicken=quicken),
     )
 
 
@@ -211,17 +211,6 @@ def test_fusion_priority_guard_keeps_add_for_putfield():
     assert quick[add_idx - 1].op is Op.LOAD, (
         "the LOAD feeding ADD_PUTFIELD must stay unfused"
     )
-
-
-def test_quicken_off_leaves_no_quick_code(monkeypatch):
-    vm = _quick_vm(FUSION_SOURCE, quicken=False)
-    assert vm.quickener is None
-    assert all(rm.quick_code is None for rm in vm.all_runtime_methods())
-    # The env kill switch drives the VMConfig default.
-    monkeypatch.setenv("JX_QUICKEN", "0")
-    assert VMConfig().quicken is False
-    monkeypatch.setenv("JX_QUICKEN", "1")
-    assert VMConfig().quicken is True
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +339,71 @@ class Main {
                                     POLY_SOURCE])
 def test_quicken_on_off_byte_identical(source):
     for adaptive in (INTERP_ONLY, AGGRESSIVE):
-        on = _quick_vm(source, quicken=True, adaptive=adaptive)
-        off = _quick_vm(source, quicken=False, adaptive=adaptive)
+        on = _quick_vm(source, adaptive=adaptive)
+        off = dequicken_all(_quick_vm(source, adaptive=adaptive))
         assert on.run().output == off.run().output
+
+
+NULL_READ_SOURCE = """
+class Cell {
+    int v;
+    Cell(int x) { v = x; }
+}
+class Main {
+    static Cell hole;
+    static int read(Cell c) {
+        int k = 1;
+        return c.v + k;
+    }
+    static void main() {
+        Sys.print("" + read(new Cell(41)));
+        Sys.print("" + read(hole));
+    }
+}
+"""
+
+
+def _null_read_trace(vm):
+    with pytest.raises(JxStackTrace) as err:
+        vm.run()
+    return vm.output, str(err.value)
+
+
+def test_dequickened_body_runs_pristine_getfield_in_the_one_loop():
+    """A de-quickened method's body is a copy of its pristine bytecode,
+    run by the same interpreter: plain GETFIELD reads an int slot, a
+    shape-managed slot, and reports a null receiver exactly as the
+    quickened forms do."""
+    from repro.mutation import build_mutation_plan
+    from tests.test_analysis import SALARY
+
+    def salary_vm():
+        return VM(compile_source(SALARY),
+                  mutation_plan=build_mutation_plan(SALARY),
+                  adaptive_config=INTERP_ONLY,
+                  config=VMConfig(shapes=True))
+
+    expected = salary_vm().run().output
+    vm = dequicken_all(salary_vm())
+    for rm in vm.all_runtime_methods():
+        assert rm.quick_code == rm.info.code
+        assert rm.quick_code is not rm.info.code
+    raise_ = vm.classes["SalaryEmployee"].own_methods["raise"]
+    kinds = {
+        type(ins.resolved).__name__
+        for ins in raise_.quick_code if ins.op is Op.GETFIELD
+    }
+    assert kinds == {"int", "ShapeField"}, "needs both slot kinds"
+    assert vm.run().output == expected
+
+    quick_out, quick_trace = _null_read_trace(
+        _quick_vm(NULL_READ_SOURCE)
+    )
+    pristine = dequicken_all(_quick_vm(NULL_READ_SOURCE))
+    read = _method(pristine, "Main", "read")
+    assert Op.GETFIELD in {ins.op for ins in read.quick_code}
+    out, trace = _null_read_trace(pristine)
+    assert (out, trace) == (quick_out, quick_trace)
+    assert quick_out == "42\n"
+    assert "null receiver reading field 'v'" in trace
+    assert "Main.read (line 10)" in trace

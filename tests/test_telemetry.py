@@ -181,14 +181,14 @@ def test_chrome_trace_counter_tracks_from_gauges():
     counter tracks on the same timeline as the events."""
     source = get_workload("salarydb").source(0.05)
     plan = build_mutation_plan(source)
-    # Quickening on, OSR off: inline caches must exist and the hot
-    # loops must stay in the quickened interpreter long enough for IC
-    # misses to populate the ic.hit_rate gauge this test asserts on.
+    # OSR off: the hot loops must stay in the interpreter long enough
+    # for IC misses to populate the ic.hit_rate gauge this test asserts
+    # on.
     from repro import VMConfig
 
     vm = VM(compile_source(source), mutation_plan=plan,
             adaptive_config=AGGRESSIVE, telemetry=True,
-            config=VMConfig(quicken=True, osr=False))
+            config=VMConfig(osr=False))
     vm.run()
     trace = to_chrome_trace(vm.telemetry)
     json.dumps(trace)  # still JSON-serializable with counter samples

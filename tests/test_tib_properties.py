@@ -15,7 +15,7 @@ import pytest
 
 from repro import VM, compile_source
 from repro.mutation import build_mutation_plan
-from tests.helpers import AGGRESSIVE, INTERP_ONLY
+from tests.helpers import AGGRESSIVE, INTERP_ONLY, dequicken_all
 
 SOURCE = """
 class Employee {
@@ -420,13 +420,12 @@ class Main {""",
 )
 
 
-def _ic_vm(quicken=True, telemetry=None, adaptive=AGGRESSIVE):
-    from repro import VMConfig
-
+def _ic_vm(pristine=False, telemetry=None, adaptive=AGGRESSIVE):
     plan = build_mutation_plan(IC_SOURCE)
     vm = VM(compile_source(IC_SOURCE), mutation_plan=plan,
-            adaptive_config=adaptive, telemetry=telemetry,
-            config=VMConfig(quicken=quicken))
+            adaptive_config=adaptive, telemetry=telemetry)
+    if pristine:
+        dequicken_all(vm)
     vm.initialize()
     return vm
 
@@ -446,8 +445,8 @@ def test_random_write_call_sequences_quicken_on_off_identical(seed):
     """Quickening is a pure dispatch-layer change: the same random mix
     of state writes and virtual calls leaves both VMs with identical
     field values, corresponding TIB states, and the same swap count."""
-    vm_on = _ic_vm(quicken=True)
-    vm_off = _ic_vm(quicken=False)
+    vm_on = _ic_vm()
+    vm_off = _ic_vm(pristine=True)
     sides = [(vm,) + _salary_objs(vm, (0, 1, 2, 3))
              for vm in (vm_on, vm_off)]
     grade_slot = vm_on.unit.lookup_field("SalaryEmployee", "grade").slot

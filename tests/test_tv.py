@@ -104,7 +104,9 @@ def test_wrong_fused_successor_found_and_dequickened():
     assert findings[0].where == "Main.main"
 
     enforce_quicken(vm)
-    assert rm.quick_code is None, "unprovable body must be de-quickened"
+    assert rm.quick_code == rm.info.code, (
+        "unprovable body must be de-quickened"
+    )
     assert "quicken:Main.main" in vm.tv_downgrades
     assert vm.mutation_stats.tv_downgrades >= 1
     assert vm.run().output == expected
@@ -155,7 +157,7 @@ def test_pinning_shape_corruption_downgrades_plan(monkeypatch):
         return shape
 
     monkeypatch.setattr(manager_mod, "pinned_shape", corrupt)
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(shapes=True))
     monkeypatch.undo()
 
     manager = vm.mutation_manager
@@ -182,7 +184,8 @@ def test_osr_entry_missing_live_local_rejected():
     agg = AdaptiveConfig(promote_ticks=32)
 
     def mk():
-        return VM(compile_source(LOOP), adaptive_config=agg)
+        return VM(compile_source(LOOP), adaptive_config=agg,
+                  config=VMConfig(osr=True))
 
     vm = mk()
     expected = vm.run().output
@@ -216,6 +219,7 @@ def test_osr_entries_validate_clean_after_real_run():
     vm = VM(
         compile_source(LOOP),
         adaptive_config=AdaptiveConfig(promote_ticks=32),
+        config=VMConfig(osr=True),
     )
     vm.run()
     assert vm.mutation_stats.osr_enters == 1
@@ -336,7 +340,7 @@ def _find_quick_site(vm, op):
 
 
 def test_verify_quick_rejects_int_resolved_shape_site():
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(shapes=True))
     rm, ins = _find_quick_site(vm, Op.GETFIELD_SHAPE)
     ins.resolved = 2  # a raw index cannot rematerialize pinned storage
     with pytest.raises(VerifyError, match="GETFIELD_SHAPE"):
@@ -344,7 +348,7 @@ def test_verify_quick_rejects_int_resolved_shape_site():
 
 
 def test_verify_quick_rejects_shape_resolved_quick_site():
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(shapes=True))
     _, shape_site = _find_quick_site(vm, Op.GETFIELD_SHAPE)
     rm, ins = _find_quick_site(vm, Op.GETFIELD_QUICK)
     ins.resolved = shape_site.resolved
