@@ -11,7 +11,7 @@ with two state fields where the hot mutable method reads only one.  Six
 hot states (3 read-values x 2 unread values) collapse to three
 equivalence classes, so sharing must cut special-code bytes and special
 TIB space by half — comfortably past the >=30% acceptance bar — while
-producing byte-identical output on every share x memo leg.
+producing byte-identical output with sharing on and off.
 
 Results land in ``BENCH_specshare.json`` for cross-PR tracking.
 """
@@ -86,33 +86,24 @@ def _plan() -> MutationPlan:
     return plan
 
 
-def _leg(spec_share: bool, memo: bool):
+def _leg(spec_share: bool):
     vm = VM(
         compile_source(SOURCE),
         mutation_plan=_plan(),
         adaptive_config=AdaptiveConfig(promote_ticks=32),
-        config=VMConfig(spec_share=spec_share, memo=memo),
+        config=VMConfig(spec_share=spec_share),
     )
     out = vm.run().output
     return vm, out
 
 
 def test_sharing_cuts_special_code_and_tib_space():
-    legs = {
-        (share, memo): _leg(share, memo)
-        for share in (True, False)
-        for memo in (True, False)
-    }
+    share_vm, share_out = _leg(True)
+    noshare_vm, reference = _leg(False)
 
-    # Semantics first: all four legs byte-identical.
-    outputs = {key: out for key, (_vm, out) in legs.items()}
-    reference = outputs[(False, False)]
+    # Semantics first: both legs byte-identical.
     assert reference
-    for key, out in outputs.items():
-        assert out == reference, f"leg {key} diverged from reference"
-
-    share_vm, _ = legs[(True, False)]
-    noshare_vm, _ = legs[(False, False)]
+    assert share_out == reference, "share-on leg diverged from reference"
 
     rm_share = share_vm.lookup("Meter", "charge")
     rm_noshare = noshare_vm.lookup("Meter", "charge")
@@ -135,7 +126,6 @@ def test_sharing_cuts_special_code_and_tib_space():
     tib_noshare = noshare_vm.tib_space.special_tib_bytes
     assert 0 < tib_share <= MAX_SHARE_RATIO * tib_noshare
 
-    memo_vm, _ = legs[(True, True)]
     write_bench_scalar(
         "specshare",
         hot_states=6,
@@ -148,6 +138,5 @@ def test_sharing_cuts_special_code_and_tib_space():
         tib_ratio=round(tib_share / tib_noshare, 4),
         specials_compiled_share=share_vm.mutation_stats.specials_compiled,
         specials_shared=share_vm.mutation_stats.specials_shared,
-        memo_hits=memo_vm.mutation_stats.memo_hits,
         max_ratio_gate=MAX_SHARE_RATIO,
     )

@@ -1,6 +1,6 @@
 """repro.cache — the persistent specialization compile cache.
 
-Memoizes general and state-specialized (special-TIB) opt2 compilation
+Caches general and state-specialized (special-TIB) opt2 compilation
 across VM instances: generated Python source is keyed by a stable
 digest of everything that can change it (program bytecode, method, opt
 tier, state-field bindings, opt-pass config, mutation environment) and

@@ -108,15 +108,23 @@ def opt_config_payload(config: Any) -> dict:
 
 
 def environment_payload(vm: Any) -> dict:
-    """The VM-construction facts that steer codegen besides bytecode:
-    the mutation plan (hooks, hot states, lifetime constants), telemetry
-    attachment (selects instrumented hook closures and disables the
-    inline fast paths), the swap-coalescing toggle (moves hooks between
-    PUTFIELD sites, changing which stores carry hook calls), and the
-    attach-time analysis audit (a downgraded class loses its hooks and
-    specializations, so the set of downgrades shapes compiled code),
-    and the OSR toggle (it decides whether specialized code carries
-    mid-frame deopt guards)."""
+    """The VM-construction facts that steer codegen besides bytecode,
+    one entry each:
+
+    * ``plan`` — the mutation plan (hooks, hot states, lifetime
+      constants);
+    * ``telemetry`` — attachment selects the recorded re-evaluation
+      closure and disables the inline fast paths;
+    * ``coalesce`` — the swap-coalescing toggle moves hooks between
+      PUTFIELD sites, changing which stores carry hook calls;
+    * ``analysis`` — the attach-time audit (a downgraded class loses
+      its hooks and specializations);
+    * ``osr`` — whether specialized code carries mid-frame deopt
+      guards;
+    * ``spec_share`` — specialization sharing;
+    * ``shapes`` — packed object layouts;
+    * ``tv`` — the translation-validation toggle and verdicts.
+    """
     manager = getattr(vm, "mutation_manager", None)
     plan_dict = None
     coalesce = None
@@ -137,12 +145,9 @@ def environment_payload(vm: Any) -> dict:
         "coalesce": coalesce,
         "analysis": analysis,
         "osr": bool(getattr(vm.config, "osr", False)),
-        # Sharing merges special TIBs (changing which TIB identity a
-        # guarded special pins); memoization suppresses the inline swap
-        # fast path (generated state writes call the epoch-bumping
-        # closure instead).  Both therefore shape opt2 artifacts.
+        # Sharing merges special TIBs, changing which TIB identity a
+        # guarded special pins, so it shapes opt2 artifacts.
         "spec_share": bool(getattr(vm.config, "spec_share", False)),
-        "memo": bool(getattr(vm.config, "memo", False)),
         # Packed layouts renumber every field slot and can replace slots
         # with unboxed constants, so any artifact embedding a slot index
         # depends on the toggle.

@@ -66,11 +66,11 @@ from repro.cache.keys import compile_key, program_digest, stable_digest
 #: ``deoptcheck`` guards with ``special_tib``/``osr_deopt`` pins, the
 #: opt1 IR serializer gained the ``pc``/``live`` Extra fields, and
 #: ``environment_payload`` gained the ``osr`` entry.
-#: v7: specialization sharing + memoization — ``environment_payload``
-#: gained the ``spec_share``/``memo`` entries (sharing merges special
-#: TIBs, memoization suppresses the inline swap fast path), and shared
-#: bodies are stored once under the compiling (leader) state's key —
-#: aliased states never consult the cache.
+#: v7: specialization sharing — ``environment_payload`` gained the
+#: ``spec_share`` entry (sharing merges special TIBs) and a ``memo``
+#: entry (since removed, v11), and shared bodies are stored once under
+#: the compiling (leader) state's key — aliased states never consult
+#: the cache.
 #: v8: shape-based packed layouts — field slots are renumbered by
 #: packing, unboxed constants fold field reads, pinned state fields
 #: emit guarded/rematerializing accessors, and ``environment_payload``
@@ -83,7 +83,9 @@ from repro.cache.keys import compile_key, program_digest, stable_digest
 #: v10: the opt1 tier is gone — methods promote opt0 -> opt2 at one
 #: threshold and no ``"opt1"`` (serialized IR) artifact is written or
 #: read any more; v9 directories may still hold them.
-SCHEMA_VERSION = 10
+#: v11: memoization is gone — ``environment_payload`` lost the ``memo``
+#: entry, changing every compile key's shape.
+SCHEMA_VERSION = 11
 
 
 def cache_stamp() -> str:

@@ -185,8 +185,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"  hooks fired      baseline {base['hooks_fired']}, "
               f"mutated {mut['hooks_fired']}; "
               f"specials compiled: {mut['specials_compiled']} "
-              f"(+{mut['specials_shared']} shared); "
-              f"memo hits: {mut['memo_hits']}")
+              f"(+{mut['specials_shared']} shared)")
     bm, mm = comparison.baseline, comparison.mutated
     if bm.declared_heap_bytes:
         saved = 1.0 - bm.modeled_heap_bytes / bm.declared_heap_bytes
@@ -306,14 +305,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     stats = vm.mutation_stats
     print(f"osr          enters={stats.osr_enters} "
           f"deopts={stats.osr_deopts}")
-    # Specials/memo lines read the unified VMStats counters (the same
+    # The specials line reads the unified VMStats counters (the same
     # source ``manager.describe()`` aliases), so per-session numbers
     # under ``jx serve`` and solo runs report identically.
     print(f"specials     compiled={stats.specials_compiled} "
           f"shared={stats.specials_shared} "
           f"tibs_shared={stats.special_tibs_shared}")
-    print(f"memo         hits={stats.memo_hits} "
-          f"fills={vm.memo.fills} entries={len(vm.memo.entries)}")
     # Same single-source-of-truth rule as the swap accounting: these
     # read the VMStats fields that the telemetry counters and the
     # ``tv_validated`` events bump in lockstep (three-way agreement is
@@ -578,8 +575,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (VMRuntimeError, JxError, OSError, KeyError) as exc:
         # Workload/compile/IO failures exit nonzero (they used to be
-        # unhandled or swallowed into exit code 0).
-        print(f"jx: error: {exc}", file=sys.stderr)
+        # unhandled or swallowed into exit code 0).  ``str(KeyError)``
+        # is the repr of its key, so print the message itself.
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"jx: error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -189,7 +189,6 @@ def telemetry_compile_summary(report: dict | None) -> dict:
         "hooks_fired": 0,
         "specials_compiled": 0,
         "specials_shared": 0,
-        "memo_hits": 0,
     }
     if not report:
         return out
@@ -211,7 +210,6 @@ def telemetry_compile_summary(report: dict | None) -> dict:
     out["specials_shared"] = counters.get(
         "mutation.specials_shared", 0
     )
-    out["memo_hits"] = counters.get("vm.memo_hits", 0)
     return out
 
 

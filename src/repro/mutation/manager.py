@@ -45,14 +45,13 @@ Three refinements over the literal Fig. 4/5:
   (:mod:`repro.opt.eqstate`) share one compiled body, and states
   equivalent modulo the class's whole read union share one special TIB
   — Fig. 10/12's linear code/TIB growth turns sublinear, with
-  byte-identical execution.  Independently, ``VMConfig.memo`` wraps
-  specialized bodies proven pure in a per-session memo table
-  (:mod:`repro.vm.memo`), invalidated by class epoch on every swap.
-* **Unified accounting**: every swap path — the class-specialized
-  re-evaluation closures, :meth:`MutationManager.reevaluate_object`,
+  byte-identical execution.
+* **Unified accounting**: every swap path — the one class-specialized
+  re-evaluation closure per class (:meth:`MutationManager._make_reeval`)
   and the opt2 inline fast path — bumps ``vm.mutation_stats.tib_swaps``
-  through :meth:`MutationManager.record_swap` (the inline path bumps
-  the same field directly).  ``manager.tib_swaps`` is a read-only alias
+  (the recorded closure through :meth:`MutationManager.record_swap`,
+  the uninstrumented closures and the inline path directly).
+  ``manager.tib_swaps`` is a read-only alias
   and the ``mutation.tib_swap`` telemetry counter mirrors it in
   instrumented runs, so all three reporters agree.
 
@@ -74,7 +73,7 @@ from typing import Any
 from repro.bytecode.opcodes import CALL_OPS as BYTECODE_CALL_OPS
 from repro.bytecode.opcodes import Op
 from repro.mutation.plan import HotState, MutableClassPlan, MutationPlan
-from repro.opt.eqstate import ir_is_pure, state_reads
+from repro.opt.eqstate import state_reads
 from repro.opt.specialize import SpecBindings
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.imt import ConflictStub, DirectEntry, OffsetEntry
@@ -629,132 +628,66 @@ class MutationManager:
     def _make_reeval(self, mcr: MutableClassRuntime):
         """Class-specialized TIB re-evaluation closure ``f(vm, obj)``.
 
-        Single-state-field classes (the common case) dispatch on the raw
-        field value — no tuple allocation on the per-object-birth path.
-        The closure charges the ``vm`` it is invoked with, so sessions
+        Exactly one of three closures per class:
+
+        * ``reeval1`` — uninstrumented, one state field, no pinned
+          shape: dispatches on the raw field value (no tuple allocation
+          on the per-object-birth path) and carries the ``"single"``
+          ``inline_spec`` so opt2 code inlines it;
+        * ``reeval`` — uninstrumented, several state fields, no pinned
+          shape;
+        * ``reeval_recorded`` — everything else (telemetry attached, or
+          ``rc.pin_slots`` non-empty, :mod:`repro.vm.shapes`): guarded
+          state reads (a pinned slot's storage may be dropped), every
+          swap funnels through :meth:`record_swap` and is followed by a
+          layout :func:`~repro.vm.shapes.transition`.  Deliberately no
+          ``inline_spec``: opt2 code must call it so swaps stay
+          observable and storage migrates.
+
+        Every closure charges the ``vm`` it is invoked with, so sessions
         sharing this manager's code space each keep their own counts.
         """
-        if getattr(mcr.rc, "pin_slots", ()):
-            return self._make_reeval_migrating(mcr)
-        record = self.record_swap
         class_tib = mcr.rc.class_tib
-        tel = self.vm.telemetry
-        cls_name = mcr.class_name
-        memo_on = bool(getattr(self.vm.config, "memo", False))
-        if len(mcr.instance_slots) == 1:
-            slot = mcr.instance_slots[0]
-            table1 = {
-                key[0]: tib for key, tib in mcr.tib_by_instance.items()
-            }
+        table = mcr.tib_by_instance
+        if self.vm.telemetry is not None or getattr(mcr.rc, "pin_slots", ()):
+            record = self.record_swap
+            cls_name = mcr.class_name
+            read = mcr.read_instance_values
 
-            if tel is None:
-                if memo_on:
-                    # Memoizing VMs bump the class's memo epoch on every
-                    # swap; the "single_memo" inline_spec keeps the opt2
-                    # inline fast path and emits the same bump inline.
-                    def reeval1_memo(vm: Any, obj: Any) -> None:
-                        tib = table1.get(obj.fields[slot], class_tib)
-                        if obj.tib is not tib:
-                            obj.tib = tib
-                            vm.mutation_stats.tib_swaps += 1
-                            vm.memo.bump(cls_name)
-
-                    reeval1_memo.inline_spec = (  # type: ignore[attr-defined]
-                        "single_memo", mcr.rc, slot, table1, class_tib
-                    )
-                    return reeval1_memo
-
-                def reeval1(vm: Any, obj: Any) -> None:
-                    tib = table1.get(obj.fields[slot], class_tib)
-                    if obj.tib is not tib:
-                        obj.tib = tib
-                        vm.mutation_stats.tib_swaps += 1
-
-                reeval1.inline_spec = (  # type: ignore[attr-defined]
-                    "single", mcr.rc, slot, table1, class_tib
-                )
-                return reeval1
-
-            # Instrumented variant: timed, event-emitting, and — on
-            # purpose — without inline_spec, so opt2 code keeps calling
-            # the closure and swaps stay observable.  Memo epochs bump
-            # inside record_swap.
-            def reeval1_tel(vm: Any, obj: Any) -> None:
+            def reeval_recorded(vm: Any, obj: Any) -> None:
                 start = time.perf_counter()
-                tib = table1.get(obj.fields[slot], class_tib)
-                if obj.tib is not tib:
+                tib = table.get(read(obj), class_tib)
+                old = obj.tib
+                if old is not tib:
                     obj.tib = tib
                     record(tib is not class_tib, cls_name, start, vm)
+                    _shape_transition(vm, obj, old.shape, tib.shape)
 
-            return reeval1_tel
-        slots = tuple(mcr.instance_slots)
-        table = mcr.tib_by_instance
+            return reeval_recorded
+        if len(mcr.instance_slots) == 1:
+            slot = mcr.instance_slots[0]
+            table1 = {key[0]: tib for key, tib in table.items()}
 
-        if tel is None:
-            if memo_on:
-
-                def reeval_memo(vm: Any, obj: Any) -> None:
-                    fields = obj.fields
-                    tib = table.get(
-                        tuple(fields[s] for s in slots), class_tib
-                    )
-                    if obj.tib is not tib:
-                        obj.tib = tib
-                        vm.mutation_stats.tib_swaps += 1
-                        vm.memo.bump(cls_name)
-
-                return reeval_memo
-
-            def reeval(vm: Any, obj: Any) -> None:
-                fields = obj.fields
-                tib = table.get(
-                    tuple(fields[s] for s in slots), class_tib
-                )
+            def reeval1(vm: Any, obj: Any) -> None:
+                tib = table1.get(obj.fields[slot], class_tib)
                 if obj.tib is not tib:
                     obj.tib = tib
                     vm.mutation_stats.tib_swaps += 1
 
-            return reeval
-
-        def reeval_tel(vm: Any, obj: Any) -> None:
-            start = time.perf_counter()
-            fields = obj.fields
-            tib = table.get(
-                tuple(fields[s] for s in slots), class_tib
+            reeval1.inline_spec = (  # type: ignore[attr-defined]
+                "single", mcr.rc, slot, table1, class_tib
             )
+            return reeval1
+        slots = tuple(mcr.instance_slots)
+
+        def reeval(vm: Any, obj: Any) -> None:
+            fields = obj.fields
+            tib = table.get(tuple(fields[s] for s in slots), class_tib)
             if obj.tib is not tib:
                 obj.tib = tib
-                record(tib is not class_tib, cls_name, start, vm)
+                vm.mutation_stats.tib_swaps += 1
 
-        return reeval_tel
-
-    def _make_reeval_migrating(self, mcr: MutableClassRuntime):
-        """Re-evaluation for classes whose shapes pin state fields
-        (``rc.pin_slots`` non-empty, :mod:`repro.vm.shapes`).
-
-        Differences from the fast closures above: state reads are
-        guarded (a pinned slot's storage may be dropped), every swap is
-        followed by a layout :func:`~repro.vm.shapes.transition`, and —
-        deliberately — there is no ``inline_spec``: opt2 code must call
-        the closure so storage migrates, exactly like the instrumented
-        variants.  All accounting funnels through :meth:`record_swap`.
-        """
-        record = self.record_swap
-        class_tib = mcr.rc.class_tib
-        cls_name = mcr.class_name
-        table = mcr.tib_by_instance
-        read = mcr.read_instance_values
-
-        def reeval_migrating(vm: Any, obj: Any) -> None:
-            start = time.perf_counter()
-            tib = table.get(read(obj), class_tib)
-            old = obj.tib
-            if old is not tib:
-                obj.tib = tib
-                record(tib is not class_tib, cls_name, start, vm)
-                _shape_transition(vm, obj, old.shape, tib.shape)
-
-        return reeval_migrating
+        return reeval
 
     def record_swap(self, to_special: bool, cls_name: str,
                     start: float | None = None,
@@ -767,21 +700,15 @@ class MutationManager:
         vm's count) — and, in instrumented runs, the
         ``mutation.tib_swap`` counter for *every* swap plus
         ``mutation.deopt_to_class_tib`` for the swap-back subset, with
-        the matching directional event.  The uninstrumented closures and
-        the opt2 inline fast path bump the same VMStats field directly —
-        they exist only when telemetry is off, so the counter and the
+        the matching directional event.  Its one caller is the recorded
+        re-evaluation closure; the uninstrumented closures and the opt2
+        inline fast path bump the same VMStats field directly — they
+        exist only when telemetry is off, so the counter and the
         telemetry mirror cannot diverge.
         """
         if vm is None:
             vm = self.vm
         vm.mutation_stats.tib_swaps += 1
-        # Invalidate memoized results for the class: a swap means some
-        # instance's state changed (repro.vm.memo's epoch guard).  The
-        # memo-aware uninstrumented closures bump directly; this covers
-        # every path that reaches record_swap.
-        memo = getattr(vm, "memo", None)
-        if memo is not None:
-            memo.bump(cls_name)
         tel = _tel_maybe(vm.telemetry)
         if tel is not None:
             name = "tib_swap" if to_special else "deopt_to_class_tib"
@@ -816,24 +743,6 @@ class MutationManager:
         # can detach one class without rebuilding the hook.
         hook.mcrs = mcrs  # type: ignore[attr-defined]
         return hook
-
-    def reevaluate_object(self, mcr: MutableClassRuntime, obj: Any,
-                          vm: Any = None) -> None:
-        """Swap the object's TIB pointer per its instance state values."""
-        start = time.perf_counter()
-        values = mcr.read_instance_values(obj)
-        tib = mcr.tib_by_instance.get(values)
-        new_tib = tib if tib is not None else mcr.rc.class_tib
-        if obj.tib is not new_tib:
-            old = obj.tib
-            obj.tib = new_tib
-            self.record_swap(
-                new_tib is not mcr.rc.class_tib, mcr.class_name, start, vm
-            )
-            _shape_transition(
-                vm if vm is not None else self.vm,
-                obj, old.shape, new_tib.shape,
-            )
 
     def apply_static_state(self, mcr: MutableClassRuntime,
                            vm: Any = None) -> None:
@@ -1048,8 +957,6 @@ class MutationManager:
                 rm, MUTATION_OPT_LEVEL, bindings=bindings
             )
             seconds = time.perf_counter() - start
-            if getattr(vm.config, "memo", False):
-                special = self._maybe_memoize(mcr, rm, special, key)
             rm.specials[key] = special
             if share:
                 shared_bodies[share_key] = special
@@ -1103,25 +1010,6 @@ class MutationManager:
                     else getattr(target, "specialized_state", None)
                 ),
             )
-
-    def _maybe_memoize(self, mcr: MutableClassRuntime, rm: Any,
-                       special: Any, key: tuple) -> Any:
-        """Wrap a freshly compiled special in a memo lookup when its
-        body is provably pure (:func:`repro.opt.eqstate.ir_is_pure`);
-        otherwise return it unchanged.  Constructors (and anything with
-        a constructor-exit hook) are never memoized — the hook is a side
-        effect the wrapper must not elide.  Cache-linked specials carry
-        no IR, so their purity is unknown and they stay unwrapped."""
-        if rm.info.is_constructor or rm.ctor_exit_hook is not None:
-            return special
-        fn = getattr(special, "ir", None)
-        if fn is None or not ir_is_pure(fn):
-            return special
-        from repro.vm.memo import MemoizedSpecial
-
-        return MemoizedSpecial(
-            special, mcr.class_name, rm.info.qualified_name, key
-        )
 
     # ------------------------------------------------------------------
 

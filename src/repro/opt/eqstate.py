@@ -19,12 +19,6 @@ writes anywhere are then subtracted outright, mirroring
 set of slots whose bound values can influence the generated code, so
 
     projections equal  =>  specialized bodies identical.
-
-:func:`ir_is_pure` is the memoization gate (:mod:`repro.vm.memo`): it
-accepts a *specialized* body only when every instruction is a pure
-register-to-register computation — no heap or static access, no
-allocation, no calls, no deopt guards — so the result is a function of
-the arguments and the baked-in state constants alone.
 """
 
 from __future__ import annotations
@@ -32,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.dataflow import solve_forward
-from repro.opt.ir import BINARY_OPS, UNARY_OPS, IRFunction, Reg
+from repro.opt.ir import IRFunction, Reg
 from repro.opt.specialize import (
     _written_instance_slots,
     _written_static_slots,
     this_aliases,
 )
 
-__all__ = ["StateReads", "state_reads", "ir_is_pure"]
+__all__ = ["StateReads", "state_reads"]
 
 
 @dataclass(frozen=True)
@@ -173,28 +167,3 @@ def state_reads(
         frozenset(reads_inst), frozenset(reads_stat), tib_dependent
     )
 
-
-#: Ops whose results depend only on their register/constant operands —
-#: the closure a memoizable specialized body must stay inside.  Notably
-#: absent: every load/store (heap, static, array), ``new``/``newarray``,
-#: all call ops, ``deoptcheck`` (guards re-enter the interpreter), and
-#: division (may raise; re-raising from a memo table would be wrong for
-#: exception identity).
-_PURE_BODY_OPS = (
-    (BINARY_OPS - frozenset({"idiv", "irem", "fdiv"}))
-    | UNARY_OPS
-    | frozenset({"mov", "jump", "br", "ret"})
-)
-
-
-def ir_is_pure(fn: IRFunction) -> bool:
-    """True when every instruction of ``fn`` is a pure computation over
-    the arguments, so ``(state key, args) -> result`` is a function and
-    the body is safe to memoize (:mod:`repro.vm.memo`)."""
-    if not fn.returns_value:
-        return False
-    return all(
-        instr.op in _PURE_BODY_OPS
-        for block in fn.blocks.values()
-        for instr in block.instrs
-    )

@@ -66,11 +66,6 @@ def _spec_share_default() -> bool:
     return os.environ.get("JX_SPEC_SHARE", "1") != "0"
 
 
-def _memo_default() -> bool:
-    """Pure-special memoization defaults on; ``JX_MEMO=0`` disables."""
-    return os.environ.get("JX_MEMO", "1") != "0"
-
-
 def _shapes_default() -> bool:
     """Packed object layouts default on; ``JX_SHAPES=0`` disables."""
     return os.environ.get("JX_SHAPES", "1") != "0"
@@ -101,10 +96,6 @@ class VMConfig:
     #: gets its own compile and TIB, exactly the paper's Fig. 10/12
     #: linear cost model.
     spec_share: bool = field(default_factory=_spec_share_default)
-    #: Memoize specialized methods proven pure (:mod:`repro.vm.memo`):
-    #: cache results per (method, state, args), invalidated on TIB swaps
-    #: of the receiver's class.  Off, every call runs the body.
-    memo: bool = field(default_factory=_memo_default)
     #: Shape-based packed object layout (:mod:`repro.vm.shapes`): each
     #: (class, hot-state) owns a packed slot layout; lifetime-constant
     #: fields are unboxed out of the instance, a mutable class's own
@@ -139,8 +130,8 @@ class VMStats:
 
     heap: HeapStats = field(default_factory=HeapStats)
     #: The single source of truth for TIB-pointer swaps: every swap path
-    #: (reeval closures, reevaluate_object, the opt2 inline fast path)
-    #: bumps this field; ``MutationManager.tib_swaps`` is an alias.
+    #: (the re-evaluation closures, the opt2 inline fast path) bumps
+    #: this field; ``MutationManager.tib_swaps`` is an alias.
     tib_swaps: int = 0
     special_tibs_created: int = 0
     #: Hot states that reused another state's special TIB because they
@@ -155,7 +146,7 @@ class VMStats:
     #: equivalent state's special, or the general body when the method
     #: reads none of the bound state fields) instead of compiling.
     specials_shared: int = 0
-    #: Memoized specialized calls answered from ``vm.memo``.
+    #: Always 0 (memoization is gone); kept for counter readers.
     memo_hits: int = 0
     #: Re-evaluations skipped by swap coalescing (deferred state writes).
     swaps_coalesced: int = 0
@@ -219,12 +210,6 @@ class VM:
         self.intrinsic_ctx = IntrinsicContext(seed)
         self.mutation_stats = VMStats()
         self.compile_stats = CompileStats()
-        # Memoized specialized-call results (repro.vm.memo) are session
-        # state by construction: results may reference session heap
-        # objects, so the table must never be shared across tenants.
-        from repro.vm.memo import MemoTable
-
-        self.memo = MemoTable()
         self._initialized = False
 
     def _build_program_world(

@@ -92,9 +92,8 @@ def test_all_configurations_byte_identical(name, tmp_path):
         f"{name}: specialized dequickened run diverged"
     )
 
-    # Specialization sharing and memoization must both be invisible in
-    # output (sharing aliases byte-identical bodies; memo replays pure
-    # results under an unchanged state epoch).
+    # Specialization sharing must be invisible in output (it aliases
+    # byte-identical bodies).
     noshare, noshare_vm = _run(
         spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
         config=VMConfig(spec_share=False),
@@ -103,19 +102,6 @@ def test_all_configurations_byte_identical(name, tmp_path):
         f"{name}: spec-share-off run diverged"
     )
     assert noshare_vm.mutation_stats.special_tibs_shared == 0
-    nomemo, nomemo_vm = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(memo=False),
-    )
-    assert nomemo == reference, f"{name}: memo-off run diverged"
-    assert nomemo_vm.mutation_stats.memo_hits == 0
-    share_memo, _ = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(spec_share=True, memo=True),
-    )
-    assert share_memo == reference, (
-        f"{name}: spec-share+memo run diverged"
-    )
 
     # Packed layouts are a pure storage-model change: shapes on and off
     # (unboxing, pinning, layout transitions included) must be

@@ -158,6 +158,14 @@ def test_cli_lint_unknown_workload(capsys):
     assert cli_main(["lint", "nosuchworkload"]) == 1
 
 
+def test_cli_unknown_workload_error_is_unquoted(capsys):
+    # str(KeyError) is the repr of its message; the CLI must print the
+    # message itself, without the stray outer quotes.
+    assert cli_main(["stats", "nosuchworkload"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("jx: error: unknown workload 'nosuchworkload'")
+
+
 def test_cli_disasm_quick(tmp_path, capsys):
     program = tmp_path / "loop.jx"
     program.write_text(

@@ -1,4 +1,4 @@
-"""Specialization sharing + memoization (repro.opt.eqstate, repro.vm.memo).
+"""Specialization sharing (repro.opt.eqstate).
 
 Covers the equivalence-modulo-state machinery end to end:
 
@@ -14,9 +14,7 @@ Covers the equivalence-modulo-state machinery end to end:
   of a static-only class falls back to ``rm.general`` after the class
   leaves all hot states post-recompile;
 * unified specials accounting — manager alias == VMStats == telemetry
-  counters;
-* memoization — pure specials get wrapped, hit, invalidate on swaps,
-  and stay session-private under a shared code space.
+  counters.
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ from repro.mutation.plan import (
     MutationPlan,
     StateFieldSpec,
 )
-from repro.opt.eqstate import ir_is_pure, state_reads
-from repro.server import CodeSpace
-from repro.vm.memo import MemoizedSpecial
+from repro.opt.eqstate import state_reads
 from tests.helpers import AGGRESSIVE
 
 SHARE_SOURCE = """
@@ -95,14 +91,13 @@ def _share_plan(mutable=("rate",)) -> MutationPlan:
     return plan
 
 
-def _share_vm(spec_share=True, memo=True, telemetry=None,
-              mutable=("rate",), seed=42):
+def _share_vm(spec_share=True, telemetry=None, mutable=("rate",), seed=42):
     vm = VM(
         compile_source(SHARE_SOURCE),
         mutation_plan=_share_plan(mutable),
         adaptive_config=AGGRESSIVE,
         telemetry=telemetry,
-        config=VMConfig(spec_share=spec_share, memo=memo),
+        config=VMConfig(spec_share=spec_share),
         seed=seed,
     )
     result = vm.run()
@@ -207,7 +202,7 @@ def test_equivalent_states_share_one_body_and_tib():
 
 
 def test_share_off_keeps_linear_model():
-    vm, _ = _share_vm(spec_share=False, memo=False)
+    vm, _ = _share_vm(spec_share=False)
     rm = vm.lookup("Tariff", "rate")
     assert len(rm.specials) == 4
     assert len({id(cm) for cm in rm.specials.values()}) == 4
@@ -373,111 +368,18 @@ def test_manager_field_is_read_only_alias():
 
 
 # ---------------------------------------------------------------------------
-# Memoization
-# ---------------------------------------------------------------------------
-
-def test_pure_specials_get_memo_wrappers_and_hit():
-    vm, out = _share_vm(memo=True)
-    rm = vm.lookup("Tariff", "rate")
-    wrappers = [
-        cm for cm in rm.specials.values()
-        if isinstance(cm, MemoizedSpecial)
-    ]
-    assert wrappers  # rate's specialized body is pure
-    assert all(ir_is_pure(w.inner.ir) for w in wrappers)
-    assert vm.mutation_stats.memo_hits > 0
-    assert vm.memo.hits == vm.mutation_stats.memo_hits
-    assert vm.memo.fills > 0
-    # Memoization never changes output.
-    _, ref = _share_vm(memo=False)
-    assert out == ref
-
-
-def test_memo_off_installs_no_wrappers():
-    vm, _ = _share_vm(memo=False)
-    rm = vm.lookup("Tariff", "rate")
-    assert not any(
-        isinstance(cm, MemoizedSpecial) for cm in rm.specials.values()
-    )
-    assert vm.mutation_stats.memo_hits == 0
-
-
-def test_impure_specials_are_never_memoized():
-    vm, _ = _share_vm(memo=True, mutable=("rate", "accrue", "bump"))
-    accrue = vm.lookup("Tariff", "accrue")
-    # accrue writes a field: its entries (general aliases) stay bare.
-    assert not any(
-        isinstance(cm, MemoizedSpecial) for cm in accrue.specials.values()
-    )
-    bump = vm.lookup("Tariff", "bump")
-    assert not any(
-        isinstance(cm, MemoizedSpecial) for cm in bump.specials.values()
-    )
-
-
-def test_memo_invalidated_on_tib_swap():
-    vm, _ = _share_vm(memo=True)
-    band, _tag = _slots(vm)
-    rm = vm.lookup("Tariff", "rate")
-    ts_slot = vm.unit.lookup_field("Main", "ts").slot
-    obj = vm.jtoc.get(ts_slot).data[0]
-    entry = obj.tib.entries[rm.vtable_offset]
-    assert isinstance(entry, MemoizedSpecial)
-
-    expected = entry.invoke(vm, [obj, 9])
-    hits_before = vm.memo.hits
-    assert entry.invoke(vm, [obj, 9]) == expected
-    assert vm.memo.hits == hits_before + 1
-
-    # Swap the object's state away and back: the class epoch moved, so
-    # the old entry is dead — the next call refills instead of hitting.
-    setter = vm.lookup("Tariff", "setBand")
-    old_band = obj.fields[band]
-    new_band = 1 - old_band
-    setter.compiled.invoke(vm, [obj, new_band])
-    setter.compiled.invoke(vm, [obj, old_band])
-    hits_after_swap = vm.memo.hits
-    entry2 = obj.tib.entries[rm.vtable_offset]
-    assert entry2.invoke(vm, [obj, 9]) == expected
-    assert vm.memo.hits == hits_after_swap  # miss: refilled, no hit
-    assert entry2.invoke(vm, [obj, 9]) == expected
-    assert vm.memo.hits == hits_after_swap + 1  # and hits again after
-
-
-def test_memo_is_per_session_under_shared_code_space():
-    space = CodeSpace(
-        compile_source(SHARE_SOURCE),
-        mutation_plan=_share_plan(),
-        adaptive_config=AGGRESSIVE,
-        config=VMConfig(spec_share=True, memo=True),
-        warmup_seed=7,
-    )
-    template_hits = space.vm.mutation_stats.memo_hits
-    a = space.create_session(seed=7)
-    b = space.create_session(seed=7)
-    assert a.memo is not b.memo
-    assert a.memo is not space.vm.memo
-    out_a = a.run().output
-    out_b = b.run().output
-    assert out_a == out_b == space.warmup_output
-    assert a.mutation_stats.memo_hits == b.mutation_stats.memo_hits
-    assert a.mutation_stats.memo_hits > 0
-    assert a.memo.entries is not b.memo.entries
-    # Session traffic never charges the template.
-    assert space.vm.mutation_stats.memo_hits == template_hits
-
-
-# ---------------------------------------------------------------------------
 # Cache environment
 # ---------------------------------------------------------------------------
 
 def test_environment_payload_carries_share_and_memo_flags():
-    for spec_share, memo in ((True, True), (False, True), (True, False)):
+    """The share flag is keyed; the memo flag is gone with memoization
+    (cache schema v11), so no key may still carry it."""
+    for spec_share in (True, False):
         vm = VM(
             compile_source(SHARE_SOURCE),
             mutation_plan=_share_plan(),
-            config=VMConfig(spec_share=spec_share, memo=memo),
+            config=VMConfig(spec_share=spec_share),
         )
         env = environment_payload(vm)
         assert env["spec_share"] is spec_share
-        assert env["memo"] is memo
+        assert "memo" not in env

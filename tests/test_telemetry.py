@@ -271,9 +271,13 @@ def test_salarydb_mutation_emits_swap_and_install_events():
     assert "tib_swap" in report and "histograms:" in report
 
 
-def test_telemetry_outputs_match_untelemetered_run():
-    spec = get_workload("salarydb")
-    source = spec.source(0.03)
+@pytest.mark.parametrize("workload", ["salarydb", "jbb2000"])
+def test_telemetry_outputs_match_untelemetered_run(workload):
+    """Telemetry swaps every class onto the recorded re-evaluation
+    closure; jbb2000 adds pinned shapes and multi-field state classes.
+    Output, swaps and layout transitions must not notice."""
+    spec = get_workload(workload)
+    source = spec.source(0.05)
     plan = build_mutation_plan(source)
     plain = VM(compile_source(source), mutation_plan=plan,
                adaptive_config=AGGRESSIVE)
@@ -281,7 +285,17 @@ def test_telemetry_outputs_match_untelemetered_run():
                 adaptive_config=AGGRESSIVE, telemetry=True)
     assert plain.run().output == traced.run().output
     assert traced.telemetry.bus.total_emitted > 0
+    swaps = traced.mutation_stats.tib_swaps
+    assert swaps > 0
+    assert swaps == plain.mutation_stats.tib_swaps
+    assert (
+        traced.heap.shape_transitions == plain.heap.shape_transitions
+    )
+    if traced.config.shapes:
+        # Both workloads' state classes pin their state fields.
+        assert traced.heap.shape_transitions > 0
     # Swap accounting agrees between telemetry and the manager counters.
+    assert traced.telemetry.summary()["counters"]["mutation.tib_swap"] == swaps
     assert (
         traced.telemetry.bus.count("tib_swap")
         + traced.telemetry.bus.count("deopt_to_class_tib")

@@ -770,13 +770,13 @@ def test_osr_event_ordering(seed):
 
 
 # ---------------------------------------------------------------------------
-# Specialization sharing + memoization (equivalence modulo state)
+# Specialization sharing (equivalence modulo state)
 # ---------------------------------------------------------------------------
 
 #: Two state fields, but ``rate`` reads only ``band`` — states that
 #: differ only in ``tag`` are equivalent modulo the method's read set.
 #: ``rate`` is padded past the inliner's callee-size limit so opt2
-#: callers dispatch through the TIB (where memo wrappers live).
+#: callers dispatch through the TIB (where shared bodies live).
 EQ_SOURCE = """
 class Meter {
     private int band;
@@ -832,19 +832,14 @@ def _eq_plan():
     return plan
 
 
-def _eq_vm(spec_share=True, memo=True, telemetry=None):
+def _eq_vm(spec_share=True, telemetry=None):
     from repro import VMConfig
 
     vm = VM(compile_source(EQ_SOURCE), mutation_plan=_eq_plan(),
             adaptive_config=AGGRESSIVE, telemetry=telemetry,
-            config=VMConfig(spec_share=spec_share, memo=memo))
+            config=VMConfig(spec_share=spec_share))
     vm.run()
     return vm
-
-
-def _bare(cm):
-    """Unwrap a memo wrapper down to the raw compiled body."""
-    return getattr(cm, "inner", cm)
 
 
 def test_states_differing_only_in_unread_fields_compile_identically():
@@ -852,16 +847,16 @@ def test_states_differing_only_in_unread_fields_compile_identically():
     two hot states that differ only in a field ``rate`` never reads
     produce byte-identical specialized sources — and with sharing on,
     literally the same compiled object."""
-    plain = _eq_vm(spec_share=False, memo=False)
+    plain = _eq_vm(spec_share=False)
     rm = plain.lookup("Meter", "rate")
-    same_a = _bare(rm.specials[((0, 0), ())])
-    same_b = _bare(rm.specials[((0, 1), ())])
-    diff = _bare(rm.specials[((1, 0), ())])
+    same_a = rm.specials[((0, 0), ())]
+    same_b = rm.specials[((0, 1), ())]
+    diff = rm.specials[((1, 0), ())]
     assert same_a is not same_b  # compiled twice without sharing...
     assert same_a.source_text == same_b.source_text  # ...to the same text
     assert same_a.source_text != diff.source_text
 
-    shared = _eq_vm(spec_share=True, memo=False)
+    shared = _eq_vm(spec_share=True)
     rm = shared.lookup("Meter", "rate")
     assert rm.specials[((0, 0), ())] is rm.specials[((0, 1), ())]
     assert rm.specials[((1, 0), ())] is rm.specials[((1, 1), ())]
@@ -871,13 +866,16 @@ def test_states_differing_only_in_unread_fields_compile_identically():
 
 
 @pytest.mark.parametrize("seed", [2, 31, 404])
-def test_memo_on_off_random_writes_byte_identical(seed):
-    """Memoization is invisible to program state: the same random mix of
-    state writes and virtual calls leaves both VMs with byte-identical
-    heaps and call results — and a swap always invalidates, so a result
-    computed for the old state is never replayed for the new one."""
-    vm_on = _eq_vm(memo=True)
-    vm_off = _eq_vm(memo=False)
+def test_share_on_off_random_writes_byte_identical(seed):
+    """Specialization sharing is invisible to program state: the same
+    random mix of state writes and virtual calls leaves both VMs with
+    identical call results and logical heaps, and every object sits on
+    the merged counterpart of its unshared TIB — a shared body or
+    merged special TIB never answers for a state it does not cover.
+    Swap counts are exact on both sides; they differ only because a
+    move between two states of one merged TIB is no swap."""
+    vm_on = _eq_vm(spec_share=True)
+    vm_off = _eq_vm(spec_share=False)
     sides = []
     for vm in (vm_on, vm_off):
         rc = vm.classes["Meter"]
@@ -890,6 +888,8 @@ def test_memo_on_off_random_writes_byte_identical(seed):
             objs.append(obj)
         sides.append((vm, rc, objs))
     offset = vm_on.lookup("Meter", "rate").vtable_offset
+    swaps_before = [vm.mutation_stats.tib_swaps for vm, _rc, _o in sides]
+    observed = [0, 0]
 
     rng = random.Random(seed)
     for _ in range(250):
@@ -897,60 +897,37 @@ def test_memo_on_off_random_writes_byte_identical(seed):
         op = rng.randrange(4)
         arg = rng.randrange(8)
         results = []
-        for vm, rc, objs in sides:
+        for side, (vm, rc, objs) in enumerate(sides):
             obj = objs[idx]
+            old_tib = obj.tib
             if op == 0:
                 rc.own_methods["setBand"].compiled.invoke(vm, [obj, arg])
             elif op == 1:
                 rc.own_methods["setTag"].compiled.invoke(vm, [obj, arg])
             else:
-                # Virtual dispatch: the memo wrapper (if any) sits in
-                # the TIB entry.
+                # Virtual dispatch: the (possibly shared) specialized
+                # body sits in the TIB entry.
                 results.append(
                     obj.tib.entries[offset].invoke(vm, [obj, arg])
                 )
+            observed[side] += obj.tib is not old_tib
         if results:
             assert results[0] == results[1]
-        (vm_a, _rc_a, objs_a), (vm_b, _rc_b, objs_b) = sides
+        (vm_a, rc_a, objs_a), (vm_b, _rc_b, objs_b) = sides
         for oa, ob in zip(objs_a, objs_b):
-            assert oa.fields == ob.fields
+            # Logical, not physical: a merged special TIB demotes to
+            # the base shape, so only the unshared side drops pinned
+            # storage.
+            assert (_logical_fields(vm_a, oa, "Meter", ("band", "tag"))
+                    == _logical_fields(vm_b, ob, "Meter", ("band", "tag")))
             assert oa.tib.is_special == ob.tib.is_special
-    assert vm_on.mutation_stats.memo_hits > 0
-    assert vm_off.mutation_stats.memo_hits == 0
-    assert vm_on.mutation_stats.tib_swaps == vm_off.mutation_stats.tib_swaps
-
-
-def test_every_memo_hit_has_a_prior_compatible_fill():
-    """The memo table never invents results: each ``memo_hit`` event is
-    preceded by a ``memo_fill`` with the same method, state key, and
-    epoch — i.e. the hit replays a value computed under a compatible
-    receiver state, never across an invalidation."""
-    vm = _eq_vm(memo=True, telemetry=True)
-    rc = vm.classes["Meter"]
-    offset = vm.lookup("Meter", "rate").vtable_offset
-    obj = rc.allocate(vm)
-    rc.own_methods["<init>/2"].compiled.invoke(vm, [obj, 0, 0])
-    for band in (0, 1, 0):
-        rc.own_methods["setBand"].compiled.invoke(vm, [obj, band])
-        for _ in range(3):
-            obj.tib.entries[offset].invoke(vm, [obj, 5])
-
-    events = vm.telemetry.bus.events()
-    hits = [e for e in events if e.name == "memo_hit"]
-    assert hits, "workload produced no memo hits — test is vacuous"
-    sig = lambda e: (
-        e.args["method"], e.args["state"], e.args["epoch"]
-    )
-    for hit in hits:
-        fills = [
-            e for e in events
-            if e.name == "memo_fill" and e.seq < hit.seq
-            and sig(e) == sig(hit)
-        ]
-        assert fills, f"memo_hit with no compatible prior fill: {hit}"
-    counters = vm.telemetry.summary()["counters"]
-    assert counters["vm.memo_hits"] == vm.mutation_stats.memo_hits
-    assert counters["vm.memo_fills"] == vm.memo.fills
+            if ob.tib.is_special:
+                assert oa.tib is rc_a.special_tibs[ob.tib.state]
+    assert vm_on.mutation_stats.special_tibs_shared > 0
+    assert vm_off.mutation_stats.special_tibs_shared == 0
+    for (vm, _rc, _objs), before, seen in zip(sides, swaps_before, observed):
+        assert vm.mutation_stats.tib_swaps - before == seen
+    assert observed[0] <= observed[1]
 
 
 # ---------------------------------------------------------------------------
@@ -968,11 +945,12 @@ def _shapes_vm(shapes, telemetry=None):
     return vm
 
 
-def _logical_fields(vm, obj):
+def _logical_fields(vm, obj, cls_name="SalaryEmployee",
+                    names=("salary", "grade", "other")):
     """Field values as the program sees them, shape-agnostic."""
     out = {}
-    for name in ("salary", "grade", "other"):
-        slot = vm.unit.lookup_field("SalaryEmployee", name).slot
+    for name in names:
+        slot = vm.unit.lookup_field(cls_name, name).slot
         if type(slot) is int:
             out[name] = obj.fields[slot]
         else:

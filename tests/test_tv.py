@@ -238,7 +238,7 @@ def test_share_with_unequal_read_sets_refused():
             compile_source(SHARE_SOURCE),
             mutation_plan=_share_plan(),
             adaptive_config=AGGRESSIVE,
-            config=VMConfig(spec_share=True, memo=True),
+            config=VMConfig(spec_share=True),
         )
 
     vm = mk()
