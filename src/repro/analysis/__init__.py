@@ -16,7 +16,7 @@ A whole-program analysis layer over the bytecode IR:
 * :mod:`.symstate` — the symbolic lockstep machine (term-algebra
   abstract interpreter over pristine and quickened bytecode);
 * :mod:`.tv` — translation validation of every transformed code
-  surface (quicken/fusion, shapes, OSR, spec-share) plus the
+  surface (quicken/fusion, OSR, spec-share) plus the
   deopt-guard safety lint; unprovable bodies are downgraded, not run;
 * :mod:`.lint` — the ``jx lint`` aggregation over a built VM.
 """
@@ -52,7 +52,6 @@ from repro.analysis.tv import (
     tv_findings,
     tv_osr_findings,
     tv_quicken_findings,
-    tv_shapes_findings,
     tv_share_findings,
     validate_quick_method,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "tv_findings",
     "tv_osr_findings",
     "tv_quicken_findings",
-    "tv_shapes_findings",
     "tv_share_findings",
     "validate_quick_method",
 ]

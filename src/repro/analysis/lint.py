@@ -21,8 +21,8 @@ quickened):
 * **plan downgrades** — classes the attach-time audit already had to
   detach are reported (the program runs correctly but unspecialized);
 * **translation validation** (``--tv``) — every transformed code
-  surface (quickened/fused bodies, shape slot layouts, OSR entries,
-  shared specialized bodies) is re-proven equivalent to its pristine
+  surface (quickened/fused bodies, OSR entries, shared specialized
+  bodies) is re-proven equivalent to its pristine
   source, and every runtime enforcement downgrade is surfaced
   (:mod:`repro.analysis.tv`).
 

@@ -37,14 +37,9 @@ Terms are nested hashable tuples:
     the ``k``-th fresh result (call return values and allocations) —
     equal effect streams imply aligned numbering.
 
-Field keys discriminate the *access path*, which is exactly where shape
-bugs live: a plain packed index accesses ``obj.fields[slot]`` directly
-and models as ``("slot", int)``, while a shape-managed slot
-(:class:`~repro.vm.shapes.ShapeField` / ``UnboxedField``) routes
-through ``slot.read``/``slot.store`` and models as
-``("shape", id(slot))``.  A fused form that direct-indexes a
-shape-managed slot (or a ``GETFIELD_SHAPE`` carrying a plain int)
-produces a mismatched key and fails validation.
+Field keys are ``("slot", int)``: every field site, pristine or
+quickened, indexes ``obj.fields`` with the plain ``int`` slot the linker
+resolved.  A site carrying anything else is unprovable.
 
 Observable effects (ordered, compared as streams):
 
@@ -100,27 +95,13 @@ class TVUnprovable(Exception):
 # ---------------------------------------------------------------------------
 # Field-key discrimination.
 
-def managed_key(resolved: Any, pc: int) -> tuple:
-    """The access-path key of a discriminating field site (pristine
-    GETFIELD/PUTFIELD and GETFIELD_SHAPE route on ``type(slot)``)."""
-    if resolved is None:
-        raise TVUnprovable(pc, "unresolved field access")
-    if type(resolved) is int:
-        return ("slot", resolved)
-    return ("shape", id(resolved))
-
-
-def direct_key(resolved: Any, pc: int) -> tuple:
-    """The access-path key of a direct-indexing site (``GETFIELD_QUICK``
-    and the fused forms index ``obj.fields`` with ``int(slot)``)."""
-    if resolved is None:
-        raise TVUnprovable(pc, "unresolved field access")
-    try:
-        return ("slot", int(resolved))
-    except (TypeError, ValueError):
+def slot_key(resolved: Any, pc: int) -> tuple:
+    """The access-path key of a field site: its plain ``int`` slot."""
+    if type(resolved) is not int:
         raise TVUnprovable(
-            pc, f"direct field index is not an int: {resolved!r}"
-        ) from None
+            pc, f"field slot is not a plain int: {resolved!r}"
+        )
+    return ("slot", resolved)
 
 
 _BIN_OPS = {
@@ -250,8 +231,7 @@ def step(code: list, st: SymState) -> list[SymState]:
     Handles the full ISA — pristine ops, standalone quickened ops, and
     every superinstruction — mirroring the interpreter
     (:func:`repro.vm.interpreter.interpret`) exactly (including fused
-    null-check placement, live hook reads, and the direct-vs-shape slot
-    discrimination).
+    null-check placement and live hook reads).
     """
     pc = st.pc
     instr = code[pc]
@@ -306,24 +286,15 @@ def step(code: list, st: SymState) -> list[SymState]:
         return [st]
 
     # -- objects and fields ---------------------------------------------
-    elif op in (Op.GETFIELD, Op.GETFIELD_SHAPE):
-        key = managed_key(instr.resolved, pc)
-        if op is Op.GETFIELD_SHAPE and key[0] != "shape":
-            raise TVUnprovable(
-                pc, "GETFIELD_SHAPE carries a plain int slot"
-            )
-        obj = st.pop()
-        st.null_check(obj)
-        st.stack.append(("fld", key, obj, st.heapver))
-    elif op is Op.GETFIELD_QUICK:
+    elif op in (Op.GETFIELD, Op.GETFIELD_QUICK):
         obj = st.pop()
         st.null_check(obj)
         st.stack.append(
-            ("fld", direct_key(instr.resolved, pc), obj, st.heapver)
+            ("fld", slot_key(instr.resolved, pc), obj, st.heapver)
         )
     elif op is Op.PUTFIELD:
         value, obj = st.pop(), st.pop()
-        _putfield(st, managed_key(instr.resolved, pc), obj, value, instr)
+        _putfield(st, slot_key(instr.resolved, pc), obj, value, instr)
     elif op is Op.GETSTATIC:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved static access")
@@ -415,7 +386,7 @@ def step(code: list, st: SymState) -> list[SymState]:
     elif op is Op.LOAD_GETFIELD:
         obj = st.locals[arg[0]]
         st.null_check(obj)
-        st.stack.append(("fld", direct_key(arg[1], pc), obj, st.heapver))
+        st.stack.append(("fld", slot_key(arg[1], pc), obj, st.heapver))
     elif op is Op.LOAD_LOAD:
         st.stack += [st.locals[arg[0]], st.locals[arg[1]]]
     elif op is Op.LOAD_CONST:
@@ -454,7 +425,7 @@ def step(code: list, st: SymState) -> list[SymState]:
         b = st.pop()
         value = ("bin", "add", st.pop(), b)
         obj = st.pop()
-        _putfield(st, direct_key(arg.resolved, pc), obj, value, arg)
+        _putfield(st, slot_key(arg.resolved, pc), obj, value, arg)
     elif op is Op.ADD_RETURN:
         b, a = st.pop(), st.pop()
         st.ret = ("v", ("bin", "add", a, b))
@@ -470,12 +441,12 @@ def step(code: list, st: SymState) -> list[SymState]:
     elif op is Op.GETFIELD_RETURN:
         obj = st.locals[arg[0]]
         st.null_check(obj)
-        st.ret = ("v", ("fld", direct_key(arg[1], pc), obj, st.heapver))
+        st.ret = ("v", ("fld", slot_key(arg[1], pc), obj, st.heapver))
         return [st]
     elif op is Op.FIELD_INC:
         i, pf, c = arg
         obj = st.locals[i]
-        key = direct_key(pf.resolved, pc)
+        key = slot_key(pf.resolved, pc)
         st.null_check(obj)
         value = ("bin", "add", ("fld", key, obj, st.heapver), ("c", c))
         st.write_heap(("putf", key, obj, value, id(pf)))

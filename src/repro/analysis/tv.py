@@ -1,13 +1,13 @@
 """Translation validation for every transformed code surface.
 
-PRs 7-9 added three code-transformation surfaces (OSR continuations,
-shared specialized bodies, shape-slotted quickened code) whose
-correctness rested on differential tests alone.  This module extends
+Quickening, OSR continuations and shared specialized bodies are
+code-transformation surfaces whose correctness once rested on
+differential tests alone.  This module extends
 the PR 5 "soundness proven, not assumed" policy to all of them: each
 transformed body is *proven* observationally equivalent to its pristine
 source, and anything unprovable is downgraded — never run.
 
-Four clients, one per surface:
+Three clients, one per surface:
 
 **quicken/fusion** (:func:`tv_quicken_findings`)
     Every ``*_QUICK`` body and superinstruction idiom is validated
@@ -18,15 +18,6 @@ Four clients, one per surface:
     hand-maintained fusion tables — and subsumes the hook-liveness
     lint, because write effects carry the identity of the ``Instr``
     whose ``state_hook`` is read live.
-
-**shapes** (:func:`tv_shapes_findings`)
-    Every resolved slot access must agree with the installed Shape
-    layout: packed indices match ``rc.field_layout``, ``UnboxedField``
-    reads are re-proven lifetime-constant by an independent
-    :func:`~repro.vm.shapes.unboxable_fields` run, direct (plain int)
-    indices never point into the pinnable tail, and every pinning TIB's
-    shape covers exactly the class's pin slots with the hot state's
-    bound values.
 
 **OSR** (:func:`tv_osr_findings`)
     Each continuation's entry must agree with an independently computed
@@ -50,10 +41,8 @@ Enforcement (downgrade, don't run) hooks into each surface's producer:
 ``Quickener.quicken_all`` de-quickens unprovable bodies
 (:func:`enforce_quicken`), ``OSRManager._build_entry`` rejects
 unprovable entries into the permanent-miss sentinel
-(:func:`check_osr_entry`), ``generate_specials`` refuses unprovable
-sharing and compiles fresh (:func:`reprove_share`), and the attach-time
-audit downgrades plans whose shapes are unprovable
-(:func:`attach_findings`).  Every downgrade lands in
+(:func:`check_osr_entry`), and ``generate_specials`` refuses unprovable
+sharing and compiles fresh (:func:`reprove_share`).  Every downgrade lands in
 ``vm.tv_downgrades`` — reported by lint and digested into the compile
 cache's environment payload so a cache hit never resurrects an
 unvalidated body.  Accounting is three-way: ``vm.mutation_stats.tv_*``
@@ -67,7 +56,7 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable
 
-from repro.bytecode.opcodes import Op, branch_target, op_width
+from repro.bytecode.opcodes import branch_target, op_width
 from repro.bytecode.verify import VerifyError, verify_quick
 from repro.analysis.findings import Finding
 from repro.analysis.liveness import live_locals
@@ -81,7 +70,6 @@ from repro.telemetry.core import maybe as _tel_maybe
 
 __all__ = [
     "tv_quicken_findings",
-    "tv_shapes_findings",
     "tv_osr_findings",
     "tv_share_findings",
     "deopt_guard_findings",
@@ -91,7 +79,6 @@ __all__ = [
     "check_osr_entry",
     "share_projection",
     "reprove_share",
-    "attach_findings",
     "validate_quick_method",
 ]
 
@@ -236,165 +223,7 @@ def enforce_quicken(vm: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Surface 2: shapes.
-
-def _plan_state_keys(vm: Any) -> set:
-    plan = getattr(getattr(vm, "mutation_manager", None), "plan", None)
-    keys: set = set()
-    if plan is not None:
-        for cp in plan.classes.values():
-            for spec in cp.instance_fields:
-                keys.add((spec.declaring_class, spec.field_name))
-    return keys
-
-
-def _shape_site_findings(vm: Any, rm: Any, state_keys: set,
-                         unbox_cache: dict) -> list[Finding]:
-    from repro.vm.shapes import ShapeField, UnboxedField, unboxable_fields
-
-    findings = []
-    qname = rm.info.qualified_name
-    for i, instr in enumerate(rm.info.code):
-        if instr.op not in (Op.GETFIELD, Op.PUTFIELD):
-            continue
-        finfo = vm.unit.lookup_field(*instr.arg)
-        if finfo is None:
-            continue
-        decl, fname = finfo.key
-        rc = vm.classes.get(decl)
-        if rc is None:
-            continue
-        layout = getattr(rc, "field_layout", None) or {}
-        pin = set(getattr(rc, "pin_slots", ()) or ())
-        subject = f"{decl}.{fname}"
-        r = instr.resolved
-        if r is None:
-            continue
-        if isinstance(r, UnboxedField):
-            if decl not in unbox_cache:
-                unbox_cache[decl] = unboxable_fields(
-                    vm.unit, decl, state_keys
-                )
-            proven = unbox_cache[decl]
-            if fname not in proven or proven[fname] != r.value:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"unboxed read of {r.value!r} without an "
-                    f"independent lifetime-constant proof",
-                ))
-        elif isinstance(r, ShapeField):
-            if fname in layout and layout[fname] != int(r):
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"stale shape slot {int(r)} "
-                    f"(layout says {layout[fname]})",
-                ))
-            elif int(r) not in pin:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"ShapeField slot {int(r)} outside the class's "
-                    f"pinnable tail {sorted(pin)}",
-                ))
-        elif type(r) is int:
-            if fname in layout and layout[fname] != r:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"stale packed slot index {r} "
-                    f"(layout says {layout[fname]})",
-                ))
-            elif r in pin:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"pinnable state slot {r} accessed with a direct "
-                    f"index (truncated storage would misread)",
-                ))
-        else:
-            findings.append(Finding(
-                "tv-shapes", qname, i, subject,
-                f"unrecognized slot kind {type(r).__name__}",
-            ))
-    return findings
-
-
-def _pinning_findings(vm: Any, name: str, mcr: Any) -> list[Finding]:
-    """Every pinning TIB's shape must cover exactly the class's pin
-    slots with the hot state's bound values, and drop exactly that many
-    slots from the base layout."""
-    rc = mcr.rc
-    base = getattr(rc.class_tib, "shape", None)
-    pin = tuple(getattr(rc, "pin_slots", ()) or ())
-    findings = []
-    for iv, tib in mcr.tib_by_instance.items():
-        shape = getattr(tib, "shape", None)
-        if shape is None or not shape.is_pinning:
-            continue
-        values = dict(zip(mcr.instance_slots, iv))
-        state = str(dict(shape.pinned))
-        if base is None or sorted(shape.pinned) != sorted(pin):
-            findings.append(Finding(
-                "tv-shapes", name, -1, state,
-                f"pinning shape covers slots "
-                f"{sorted(shape.pinned)} but the class pins "
-                f"{sorted(pin)}",
-            ))
-        elif shape.n_slots != base.n_slots - len(pin) or \
-                len(shape.tail) != len(pin):
-            findings.append(Finding(
-                "tv-shapes", name, -1, state,
-                f"pinning shape drops {base.n_slots - shape.n_slots} "
-                f"slot(s) with a {len(shape.tail)}-value tail; the "
-                f"class pins {len(pin)}",
-            ))
-        elif any(shape.pinned[s] != values.get(s) for s in pin):
-            findings.append(Finding(
-                "tv-shapes", name, -1, state,
-                "pinned values disagree with the hot state's bindings",
-            ))
-    return findings
-
-
-def tv_shapes_findings(vm: Any) -> list[Finding]:
-    state_keys = _plan_state_keys(vm)
-    unbox_cache: dict = {}
-    findings = []
-    for rm in _runtime_methods(vm):
-        findings += _shape_site_findings(vm, rm, state_keys, unbox_cache)
-    manager = getattr(vm, "mutation_manager", None)
-    if manager is not None:
-        for name, mcr in sorted(manager.mcrs.items()):
-            findings += _pinning_findings(vm, name, mcr)
-    return findings
-
-
-def attach_findings(manager: Any, name: str, mcr: Any) -> list[Finding]:
-    """The attach-time TV audit for one plan class: shape layouts and
-    the class's own field sites must be provable, else the plan is
-    downgraded (the class runs unspecialized, whose base shapes never
-    truncate storage — so even a direct index into the pinnable tail
-    stays correct)."""
-    vm = manager.vm
-    start = time.perf_counter()
-    findings = _pinning_findings(vm, name, mcr)
-    state_keys = _plan_state_keys(vm)
-    unbox_cache: dict = {}
-    for rm in mcr.rc.own_methods.values():
-        if rm.info.is_abstract:
-            continue
-        findings += _shape_site_findings(vm, rm, state_keys, unbox_cache)
-    _account(vm, "shapes", bodies=1, findings=len(findings),
-             downgrades=1 if findings else 0)
-    if findings:
-        _record_downgrade(
-            vm, "shapes", name,
-            f"shape layout unprovable ({len(findings)} finding(s)); "
-            f"plan downgraded: {findings[0].message}",
-        )
-    _observe_seconds(vm, time.perf_counter() - start)
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Surface 3: OSR.
+# Surface 2: OSR.
 
 def _is_loop_header(code: list, pc: int) -> bool:
     return any(
@@ -539,7 +368,7 @@ def tv_osr_findings(vm: Any) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Surface 4: spec-share.
+# Surface 3: spec-share.
 
 def share_projection(reads: Any, instance: dict, static: dict) -> tuple:
     """This module's own projection of one state's bindings onto a
@@ -645,7 +474,7 @@ def deopt_guard_findings(vm: Any) -> list[Finding]:
     a TIB-speculating specialized body must be followed by its
     ``deoptcheck`` guard — otherwise a frame that swaps its own
     receiver's TIB keeps speculating on the stale state."""
-    if not getattr(vm.config, "osr", False):
+    if not vm.config.osr:
         return []
     from repro.opt.ir import Reg
     from repro.opt.specialize import this_aliases
@@ -690,8 +519,8 @@ def deopt_guard_findings(vm: Any) -> list[Finding]:
 
 def tv_downgrade_findings(vm: Any) -> list[Finding]:
     """Surfaces the runtime enforcement decisions: each recorded
-    downgrade (de-quickened body, rejected OSR entry, refused share,
-    downgraded plan) is one finding, so ``jx lint --tv`` shows what the
+    downgrade (de-quickened body, rejected OSR entry, refused share) is
+    one finding, so ``jx lint --tv`` shows what the
     validator refused to run."""
     out = []
     for key, message in sorted(
@@ -707,7 +536,6 @@ def tv_findings(vm: Any) -> list[Finding]:
     run) VM; empty means every transformed surface is proven."""
     start = time.perf_counter()
     findings = tv_quicken_findings(vm)
-    findings += tv_shapes_findings(vm)
     findings += tv_osr_findings(vm)
     findings += tv_share_findings(vm)
     findings += deopt_guard_findings(vm)

@@ -1,16 +1,15 @@
 """Constructor-assigned constant fields (step 1 of paper §4, Fig. 8).
 
-Two bytecode-level predicates shared by the offline lifetime-constant
-analysis (:mod:`repro.mutation.lifetime`) and the VM's packed-layout
-unboxing proof (:mod:`repro.vm.shapes`):
+Two bytecode-level predicates behind the offline lifetime-constant
+analysis (:mod:`repro.mutation.lifetime`):
 
 * :func:`ctor_constant_fields` — the ``<field, ctor, value>`` tuples of
   fields a class's constructors assign literal constants on ``this``;
 * :func:`fields_assigned_outside_ctors` — the field keys any other code
   in the program writes.
 
-They live below both clients (this module imports only the bytecode
-layer) so that building a VM never pulls in the mutation system or the
+They live in the bytecode layer (this module imports nothing above
+it), so using them never pulls in the mutation system or the
 optimizer.
 """
 

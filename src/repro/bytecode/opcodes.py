@@ -128,8 +128,6 @@ class Op(enum.IntEnum):
     #                        arg: (i, slot, fname) -> return obj field
     FIELD_INC = 150      # LOAD i/LOAD i/GETFIELD f/CONST c/ADD/
     #                      PUTFIELD f (field increment); arg: (i, pf, c)
-    GETFIELD_SHAPE = 151  # GETFIELD of a shape-managed slot (resolved:
-    #                       a ShapeField/UnboxedField, repro.vm.shapes)
 
 
 #: Placeholder for "stack effect depends on the instruction argument".
@@ -226,7 +224,6 @@ OP_INFO: dict[Op, OpInfo] = {
     Op.GETFIELD_RETURN: OpInfo("getfield_return", 0, 0,
                                is_terminator=True),
     Op.FIELD_INC: OpInfo("field_inc", 0, 0),
-    Op.GETFIELD_SHAPE: OpInfo("getfield_shape", 1, 1),
 }
 
 #: Opcodes that invoke another method (share call-shaped arguments).
@@ -311,7 +308,6 @@ QUICK_OPS = frozenset({
     Op.LOAD_MUL,
     Op.GETFIELD_RETURN,
     Op.FIELD_INC,
-    Op.GETFIELD_SHAPE,
 })
 
 

@@ -292,7 +292,7 @@ class Quickener:
         """Build ``quick_code`` for every non-abstract method."""
         for rm in self.vm.all_runtime_methods():
             self.quicken_method(rm)
-        if getattr(self.vm.config, "tv", False):
+        if self.vm.config.tv:
             # Translation validation: prove every quickened body
             # observationally equivalent to its pristine bytecode;
             # unprovable bodies are de-quickened and run pristine
@@ -336,7 +336,6 @@ class Quickener:
                      code[i + 5].op) == _IDIOM_FIELD_INC
                 and instr.arg == code[i + 1].arg
                 and code[i + 2].arg == code[i + 5].arg
-                and type(code[i + 5].resolved) is int
             ):
                 # Keep the shared PUTFIELD Instr in the arg so its
                 # resolved slot and state hook are read live.
@@ -367,7 +366,6 @@ class Quickener:
                 i + 2 < n
                 and op is Op.LOAD
                 and (op, code[i + 1].op, code[i + 2].op) == _IDIOM_GETTER
-                and type(code[i + 1].resolved) is int
             ):
                 second = code[i + 1]
                 new_i = Instr(
@@ -387,16 +385,6 @@ class Quickener:
                 ):
                     # The arithmetic op fuses better with its successor
                     # (e.g. LOAD/ADD/PUTFIELD: keep ADD for ADD_PUTFIELD).
-                    fused_op = None
-                if (
-                    fused_op in (Op.LOAD_GETFIELD, Op.ADD_PUTFIELD)
-                    and type(code[i + 1].resolved) is not int
-                ):
-                    # Shape-managed slot (unboxed constant or pinned
-                    # state field): the fused arms index ``obj.fields``
-                    # directly, so leave the site unfused and let the
-                    # standalone GETFIELD_SHAPE / PUTFIELD paths handle
-                    # the indirection.
                     fused_op = None
                 if fused_op is not None:
                     quick[i] = self._fuse(fused_op, instr, code[i + 1])
@@ -423,10 +411,7 @@ class Quickener:
                 quick[i] = new
                 self.sites += 1
             elif op is Op.GETFIELD:
-                if type(instr.resolved) is int:
-                    new = Instr(Op.GETFIELD_QUICK, instr.arg, instr.line)
-                else:
-                    new = Instr(Op.GETFIELD_SHAPE, instr.arg, instr.line)
+                new = Instr(Op.GETFIELD_QUICK, instr.arg, instr.line)
                 new.resolved = instr.resolved
                 quick[i] = new
                 self.sites += 1

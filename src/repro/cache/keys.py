@@ -122,7 +122,6 @@ def environment_payload(vm: Any) -> dict:
     * ``osr`` — whether specialized code carries mid-frame deopt
       guards;
     * ``spec_share`` — specialization sharing;
-    * ``shapes`` — packed object layouts;
     * ``tv`` — the translation-validation toggle and verdicts.
     """
     manager = getattr(vm, "mutation_manager", None)
@@ -144,21 +143,16 @@ def environment_payload(vm: Any) -> dict:
         "telemetry": vm.telemetry is not None,
         "coalesce": coalesce,
         "analysis": analysis,
-        "osr": bool(getattr(vm.config, "osr", False)),
+        "osr": vm.config.osr,
         # Sharing merges special TIBs, changing which TIB identity a
         # guarded special pins, so it shapes opt2 artifacts.
-        "spec_share": bool(getattr(vm.config, "spec_share", False)),
-        # Packed layouts renumber every field slot and can replace slots
-        # with unboxed constants, so any artifact embedding a slot index
-        # depends on the toggle.
-        "shapes": bool(getattr(vm.config, "shapes", False)),
+        "spec_share": vm.config.spec_share,
         # Translation-validation verdict digest: enforcement downgrades
-        # (de-quickened bodies, rejected OSR entries, refused shares,
-        # downgraded plans) change which bodies exist to compile, so a
-        # hit from a run with different verdicts could resurrect an
-        # unvalidated body.
+        # (de-quickened bodies, rejected OSR entries, refused shares)
+        # change which bodies exist to compile, so a hit from a run
+        # with different verdicts could resurrect an unvalidated body.
         "tv": {
-            "enabled": bool(getattr(vm.config, "tv", False)),
+            "enabled": vm.config.tv,
             "downgrades": sorted(getattr(vm, "tv_downgrades", None) or {}),
         },
     }

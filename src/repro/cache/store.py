@@ -74,8 +74,8 @@ from repro.cache.keys import compile_key, program_digest, stable_digest
 #: v8: shape-based packed layouts — field slots are renumbered by
 #: packing, unboxed constants fold field reads, pinned state fields
 #: emit guarded/rematerializing accessors, and ``environment_payload``
-#: gained the ``shapes`` entry; v7 artifacts embed declared slot
-#: indices.
+#: gained the ``shapes`` entry (since removed, v12); v7 artifacts embed
+#: declared slot indices.
 #: v9: translation validation — ``environment_payload`` gained the
 #: ``tv`` entry (toggle + the sorted enforcement-downgrade record), so
 #: a cache hit never resurrects a body the validator refused to run in
@@ -85,7 +85,10 @@ from repro.cache.keys import compile_key, program_digest, stable_digest
 #: read any more; v9 directories may still hold them.
 #: v11: memoization is gone — ``environment_payload`` lost the ``memo``
 #: entry, changing every compile key's shape.
-SCHEMA_VERSION = 11
+#: v12: packed shapes are gone — field slots are the linker's declared
+#: indices again, pinned-slot accessors are no longer emitted, and
+#: ``environment_payload`` lost the ``shapes`` entry.
+SCHEMA_VERSION = 12
 
 
 def cache_stamp() -> str:

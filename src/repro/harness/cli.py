@@ -12,8 +12,8 @@ Subcommands:
   JSON for chrome://tracing / Perfetto (``-o trace.json``);
 * ``stats WORKLOAD``      — run under telemetry, print the counters /
   histograms / event-taxonomy report;
-* ``heap WORKLOAD``       — run, print the modeled-heap report (packed
-  vs declared bytes, pinning/unboxing savings, top classes);
+* ``heap WORKLOAD``       — run, print the modeled-heap report (object
+  and array bytes, top classes);
 * ``serve WORKLOAD``      — run N concurrent sessions over one shared
   code space (``--sessions N --workers K``); exits nonzero if any two
   same-seed sessions diverge (cross-tenant leakage);
@@ -187,12 +187,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               f"specials compiled: {mut['specials_compiled']} "
               f"(+{mut['specials_shared']} shared)")
     bm, mm = comparison.baseline, comparison.mutated
-    if bm.declared_heap_bytes:
-        saved = 1.0 - bm.modeled_heap_bytes / bm.declared_heap_bytes
-        print(f"  heap             baseline {bm.modeled_heap_bytes}B modeled"
-              f" vs {bm.declared_heap_bytes}B declared ({saved:.1%} packed"
-              f" out); mutated {mm.modeled_heap_bytes}B, "
-              f"{mm.shape_transitions} layout transitions")
+    print(f"  heap             baseline {bm.heap_object_bytes}B, "
+          f"mutated {mm.heap_object_bytes}B modeled objects")
     if cache_dir is not None:
         b, m = comparison.baseline, comparison.mutated
         hits = b.cache_hits + m.cache_hits
@@ -241,44 +237,19 @@ def _run_instrumented(args: argparse.Namespace):
     return spec, vm, result, telemetry
 
 
-def _unboxed_fields(vm) -> int:
-    from repro.vm.shapes import UnboxedField
-
-    return sum(
-        1
-        for rc in vm.classes.values()
-        for finfo in rc.info.fields.values()
-        if isinstance(finfo.slot, UnboxedField)
-    )
-
-
 def _cmd_heap(args: argparse.Namespace) -> int:
     spec, vm, _result, _telemetry = _run_instrumented(args)
     heap = vm.heap
-    declared = heap.declared_object_bytes
-    modeled = heap.modeled_object_bytes()
-    saved = (1.0 - modeled / declared) if declared else 0.0
-    print(f"{spec.name}: heap report "
-          f"(shapes {'on' if vm.config.shapes else 'off'})")
+    print(f"{spec.name}: heap report")
     print(f"objects      {heap.objects_allocated} allocated; "
-          f"{modeled}B modeled vs {declared}B declared "
-          f"({saved:.1%} packed out)")
+          f"{heap.object_bytes}B modeled (header + one word per field)")
     print(f"arrays       {heap.arrays_allocated} allocated; "
           f"{heap.array_bytes}B (width-scaled elements)")
-    print(f"pinning      transitions={heap.shape_transitions} "
-          f"dropped={heap.pinned_bytes_dropped}B "
-          f"restored={heap.pinned_bytes_restored}B")
-    print(f"unboxed      {_unboxed_fields(vm)} field(s) removed from "
-          f"instances")
     print("top classes by modeled bytes")
-    print(f"  {'class':24s} {'count':>8s} {'bytes':>10s} "
-          f"{'packed':>7s} {'declared':>9s}")
+    print(f"  {'class':24s} {'count':>8s} {'bytes':>10s} {'each':>6s}")
     for name, total in heap.top_classes_by_bytes(args.top):
-        rc = vm.classes.get(name)
-        packed = rc.alloc_bytes if rc and rc.alloc_bytes else "-"
-        decl = rc.declared_bytes if rc and rc.declared_bytes else "-"
-        print(f"  {name:24s} {heap.per_class.get(name, 0):>8d} "
-              f"{total:>10d} {packed!s:>7s} {decl!s:>9s}")
+        count = heap.per_class[name]
+        print(f"  {name:24s} {count:>8d} {total:>10d} {total // count:>6d}")
     return 0
 
 
@@ -322,14 +293,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"seconds={vm.tv_seconds:.3f}")
     heap = vm.heap
     print(f"heap         objects={heap.objects_allocated} "
-          f"modeled={heap.modeled_object_bytes()}B "
-          f"declared={heap.declared_object_bytes}B "
+          f"modeled={heap.object_bytes}B "
           f"arrays={heap.array_bytes}B")
-    print(f"shapes       {'on' if vm.config.shapes else 'off'} "
-          f"transitions={heap.shape_transitions} "
-          f"dropped={heap.pinned_bytes_dropped}B "
-          f"restored={heap.pinned_bytes_restored}B "
-          f"unboxed={_unboxed_fields(vm)}")
     budget = format_opt_pass_report(telemetry)
     if budget:
         print(budget)
@@ -433,6 +398,19 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     return 0
 
 
+def _out_of_range(args: argparse.Namespace) -> str | None:
+    """Why a numeric option is out of range, or ``None`` if all are in
+    range (a zero count or scale would run nothing and report success)."""
+    for name in ("sessions", "workers", "repeats", "top"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            return f"--{name} must be at least 1, got {value}"
+    scale = getattr(args, "scale", None)
+    if scale is not None and scale <= 0:
+        return f"--scale must be positive, got {scale}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="jx",
@@ -475,8 +453,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tv", action="store_true",
                    help="also run the translation validator: re-prove "
                         "every transformed code surface (quickened "
-                        "bodies, shape layouts, OSR entries, shared "
-                        "specials) equivalent to its pristine source")
+                        "bodies, OSR entries, shared specials) "
+                        "equivalent to its pristine source")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("workloads", help="list benchmark workloads")
@@ -526,8 +504,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "heap",
-        help="run a workload, print the modeled-heap report (packed vs "
-             "declared bytes, pinning, unboxing, top classes)",
+        help="run a workload, print the modeled-heap report (object and "
+             "array bytes, top classes)",
     )
     p.add_argument("workload")
     p.add_argument("--scale", type=float, default=None,
@@ -571,6 +549,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_fig)
 
     args = parser.parse_args(argv)
+    problem = _out_of_range(args)
+    if problem is not None:
+        print(f"jx: error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (VMRuntimeError, JxError, OSError, KeyError) as exc:

@@ -6,8 +6,7 @@ a given private reference field, compile-time constants:
 1. **Constructor assignment analysis** — record ``<field, ctor, value>``
    tuples for fields of mutable classes assigned literal constants in
    constructors, and verify no non-constructor code ever assigns them
-   (:mod:`repro.bytecode.ctorfields`, shared with the VM's unboxing
-   proof).
+   (:mod:`repro.bytecode.ctorfields`).
 2. **Private reference field analysis** — for each private field ``g``
    in another class ``D`` whose every assignment is ``new M(...)``
    through one specific constructor: prove ``D`` never modifies the

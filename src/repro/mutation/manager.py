@@ -70,14 +70,16 @@ import time
 import warnings
 from typing import Any
 
+from repro.analysis.specsafety import audit_attached_plans
+from repro.analysis.tv import reprove_share
 from repro.bytecode.opcodes import CALL_OPS as BYTECODE_CALL_OPS
 from repro.bytecode.opcodes import Op
+from repro.mutation import coalesce
 from repro.mutation.plan import HotState, MutableClassPlan, MutationPlan
 from repro.opt.eqstate import state_reads
 from repro.opt.specialize import SpecBindings
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.imt import ConflictStub, DirectEntry, OffsetEntry
-from repro.vm.shapes import pinned_shape, transition as _shape_transition
 from repro.vm.tib import TIB
 
 #: Paper §6: "Mutation occurs at opt2."
@@ -115,14 +117,7 @@ class MutableClassRuntime:
 
     def read_instance_values(self, obj: Any) -> tuple:
         f = obj.fields
-        n = len(f)
-        # A pinning shape (repro.vm.shapes) drops tail storage while the
-        # object sits in a hot state; truncated slots read through the
-        # TIB's pinned table.  With shapes off, ``n`` always covers.
-        return tuple(
-            f[s] if s < n else obj.tib.shape.pinned[s]
-            for s in self.instance_slots
-        )
+        return tuple(f[s] for s in self.instance_slots)
 
     def states_matching_static(self, static_values: tuple) -> list[HotState]:
         return [
@@ -242,7 +237,7 @@ class MutationManager:
         if not mcr.instance_slots:
             return
         union = None
-        if getattr(self.vm.config, "spec_share", False):
+        if self.vm.config.spec_share:
             union = self._attach_read_union(mcr)
         static_sets: dict[tuple, frozenset] = {}
         if union is not None:
@@ -270,26 +265,12 @@ class MutationManager:
                 tib = merged.get(group_key)
             if tib is None:
                 tib = TIB.special_from(mcr.rc.class_tib, state=iv)
-                # Pinning layout (repro.vm.shapes): the hot state's shape
-                # bakes the class's own state-field values into its
-                # pinned tail, so instances entering this TIB drop that
-                # storage.  Falls back to the base shape (or None) when
-                # the class has no pinnable tail or shapes are off.
-                tib.shape = pinned_shape(
-                    mcr.rc, iv, dict(zip(mcr.instance_slots, iv))
-                )
                 self.vm.tib_space.record_special_tib(tib)
                 self.vm.mutation_stats.special_tibs_created += 1
                 if group_key is not None:
                     merged[group_key] = tib
             else:
                 self.vm.mutation_stats.special_tibs_shared += 1
-                if tib.shape is not None and tib.shape.is_pinning:
-                    # A second instance-value tuple joined this merged
-                    # TIB; a pinning shape bakes exactly one tuple's
-                    # values into its tail, so demote to the base shape
-                    # (full storage, no pinned reads) for correctness.
-                    tib.shape = mcr.rc.class_tib.shape
             mcr.tib_by_instance[iv] = tib
             mcr.rc.special_tibs[iv] = tib
 
@@ -405,7 +386,7 @@ class MutationManager:
     def _install_field_hooks(self) -> None:
         instance_keys, static_keys = self._state_field_keys()
         unit = self.vm.unit
-        coalesce = self.plan.config.coalesce_swaps
+        coalesce_on = self.plan.config.coalesce_swaps
         for method in unit.all_methods():
             if method.is_abstract:
                 continue
@@ -438,7 +419,7 @@ class MutationManager:
                             )
                             self.static_hooks[key] = hook
                         instr.state_hook = hook
-            if hooked_putfields and coalesce:
+            if hooked_putfields and coalesce_on:
                 self._coalesce_method(method)
 
     @staticmethod
@@ -456,10 +437,8 @@ class MutationManager:
     def _coalesce_method(self, method: Any) -> None:
         """Replace the re-evaluating hook with the deferred hook on every
         all-but-last write of a provably-safe update region."""
-        from repro.mutation.coalesce import deferrable_writes
-
         deferred = None
-        for index in deferrable_writes(method, self._instance_hook):
+        for index in coalesce.deferrable_writes(method, self._instance_hook):
             if deferred is None:
                 deferred = self.deferred_state_hook()
             method.code[index].state_hook = deferred
@@ -477,20 +456,8 @@ class MutationManager:
         hook set is unsound, so the violating class is **downgraded**
         instead: its special TIBs are detached and its objects keep the
         class TIB (correct, merely unspecialized)."""
-        from repro.analysis.specsafety import audit_attached_plans
-
         for name, findings in sorted(audit_attached_plans(self).items()):
             self._downgrade_class(name, findings)
-        if getattr(self.vm.config, "tv", False):
-            # Translation validation of the shape surface: layouts,
-            # pinning shapes, and the plan class's own field sites must
-            # be provable, else the plan is downgraded the same way.
-            from repro.analysis.tv import attach_findings
-
-            for name in sorted(self.mcrs):
-                findings = attach_findings(self, name, self.mcrs[name])
-                if findings:
-                    self._downgrade_class(name, findings)
 
     def _downgrade_class(self, name: str, findings: list) -> None:
         mcr = self.mcrs.pop(name, None)
@@ -630,26 +597,21 @@ class MutationManager:
 
         Exactly one of three closures per class:
 
-        * ``reeval1`` — uninstrumented, one state field, no pinned
-          shape: dispatches on the raw field value (no tuple allocation
-          on the per-object-birth path) and carries the ``"single"``
+        * ``reeval1`` — uninstrumented, one state field: dispatches on
+          the raw field value (no tuple allocation on the
+          per-object-birth path) and carries the ``"single"``
           ``inline_spec`` so opt2 code inlines it;
-        * ``reeval`` — uninstrumented, several state fields, no pinned
-          shape;
-        * ``reeval_recorded`` — everything else (telemetry attached, or
-          ``rc.pin_slots`` non-empty, :mod:`repro.vm.shapes`): guarded
-          state reads (a pinned slot's storage may be dropped), every
-          swap funnels through :meth:`record_swap` and is followed by a
-          layout :func:`~repro.vm.shapes.transition`.  Deliberately no
-          ``inline_spec``: opt2 code must call it so swaps stay
-          observable and storage migrates.
+        * ``reeval`` — uninstrumented, several state fields;
+        * ``reeval_recorded`` — telemetry attached: every swap funnels
+          through :meth:`record_swap`.  Deliberately no ``inline_spec``:
+          opt2 code must call it so swaps stay observable.
 
         Every closure charges the ``vm`` it is invoked with, so sessions
         sharing this manager's code space each keep their own counts.
         """
         class_tib = mcr.rc.class_tib
         table = mcr.tib_by_instance
-        if self.vm.telemetry is not None or getattr(mcr.rc, "pin_slots", ()):
+        if self.vm.telemetry is not None:
             record = self.record_swap
             cls_name = mcr.class_name
             read = mcr.read_instance_values
@@ -657,11 +619,9 @@ class MutationManager:
             def reeval_recorded(vm: Any, obj: Any) -> None:
                 start = time.perf_counter()
                 tib = table.get(read(obj), class_tib)
-                old = obj.tib
-                if old is not tib:
+                if obj.tib is not tib:
                     obj.tib = tib
                     record(tib is not class_tib, cls_name, start, vm)
-                    _shape_transition(vm, obj, old.shape, tib.shape)
 
             return reeval_recorded
         if len(mcr.instance_slots) == 1:
@@ -865,11 +825,9 @@ class MutationManager:
             mcr.instance_slots,
             mcr.static_slots,
         )
-        share = bool(getattr(vm.config, "spec_share", False))
-        osr_on = bool(getattr(vm.config, "osr", False))
-        tv_on = bool(getattr(vm.config, "tv", False))
-        if tv_on:
-            from repro.analysis.tv import reprove_share
+        share = vm.config.spec_share
+        osr_on = vm.config.osr
+        tv_on = vm.config.tv
         general = rm.general
         can_alias_general = (
             general is not None

@@ -136,8 +136,7 @@ class OptCompiler:
             self._pass(
                 "specialize", lambda f: specialize_ir(f, bindings), fn
             )
-            if (bindings.tib is not None
-                    and getattr(self.vm.config, "osr", False)):
+            if bindings.tib is not None and self.vm.config.osr:
                 # Arm mid-frame deopt: after every TIB-re-evaluating
                 # state write on `this`, guard that the receiver still
                 # has the specialized-for TIB and bail to the

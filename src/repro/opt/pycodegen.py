@@ -25,7 +25,6 @@ from typing import Any, Callable
 from repro.cache.artifact import UnlinkableArtifact, encode_value, hook_ref
 from repro.opt.ir import Const, IRFunction, IRInstr, Operand, Reg
 from repro.vm.interpreter import JxStackTrace, _is_ref
-from repro.vm.shapes import UnboxedField as _UnboxedField
 from repro.vm.values import (
     ArrayBoundsError,
     ClassCastError,
@@ -75,10 +74,6 @@ def _py_fdiv(a: float, b: float) -> float:
 
 def _py_eq(a: Any, b: Any) -> bool:
     return (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
-
-
-def _is_unboxed(slot: Any) -> bool:
-    return isinstance(slot, _UnboxedField)
 
 
 class _LoopNode:
@@ -236,49 +231,9 @@ class PyCodegen:
         elif op in _UN_FMT:
             E(indent, f"{dest} = {_UN_FMT[op].format(*args)}")
         elif op == "getfield":
-            slot = instr.extra.slot
-            if type(slot) is int:
-                E(indent, f"{dest} = {args[0]}.fields[{slot}]")
-            elif _is_unboxed(slot):
-                # Lifetime-constant field unboxed out of the instance
-                # (repro.vm.shapes): fold the read to its literal.  The
-                # bare attribute touch keeps null-receiver semantics —
-                # ``None.fields`` raises, converted to NPE below.
-                E(indent, f"{args[0]}.fields")
-                E(indent, f"{dest} = {self._operand(Const(slot.value))}")
-            else:
-                # Pinned state field: storage may be dropped while the
-                # object sits in a hot state; read through the TIB's
-                # shape when the packed tail is truncated.
-                i = int(slot)
-                E(indent, f"_sfv = {args[0]}.fields")
-                E(
-                    indent,
-                    f"{dest} = _sfv[{i}] if {i} < len(_sfv) "
-                    f"else {args[0]}.tib.shape.pinned[{i}]",
-                )
+            E(indent, f"{dest} = {args[0]}.fields[{instr.extra.slot}]")
         elif op == "putfield":
-            slot = instr.extra.slot
-            if type(slot) is int:
-                E(indent, f"{args[0]}.fields[{slot}] = {args[1]}")
-            elif _is_unboxed(slot):
-                # Writes to an unboxed field only happen in the ctor,
-                # always storing the proven constant: keep the null
-                # check, drop the store.
-                E(indent, f"{args[0]}.fields")
-            else:
-                # Rematerialize dropped pinned storage before storing —
-                # the state hook below may re-evaluate and re-truncate.
-                i = int(slot)
-                E(indent, f"_sfv = {args[0]}.fields")
-                E(indent, f"if {i} >= len(_sfv):")
-                E(indent + 1, f"_sfv.extend({args[0]}.tib.shape.tail)")
-                E(
-                    indent + 1,
-                    "vm.heap.pinned_bytes_restored += "
-                    f"{args[0]}.tib.shape.tail_bytes",
-                )
-                E(indent, f"_sfv[{i}] = {args[1]}")
+            E(indent, f"{args[0]}.fields[{instr.extra.slot}] = {args[1]}")
             if instr.extra.hook is not None:
                 spec = getattr(instr.extra.hook, "inline_spec", None)
                 if spec is not None and spec[0] == "deferred":

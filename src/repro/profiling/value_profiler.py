@@ -88,12 +88,8 @@ class ValueProfiler:
         profile = self.profiles.get(cls_name)
         if profile is None:
             return
-        # A candidate field may be shape-managed on this VM (an unboxed
-        # lifetime constant, repro.vm.shapes): read through the slot.
-        inst = tuple(
-            obj.fields[slot] if type(slot) is int else slot.read(obj)
-            for slot in self._instance_slots[cls_name]
-        )
+        fields = obj.fields
+        inst = tuple(fields[slot] for slot in self._instance_slots[cls_name])
         stat = tuple(
             vm.jtoc.fields[slot] for slot in self._static_slots[cls_name]
         )

@@ -29,10 +29,6 @@ name                      emitted when
                           re-resolved (carries the receiver's TIB kind)
 ``plan_downgraded``       the attach-time specialization-safety audit
                           detached a class's plan (carries the findings)
-``shape_transition``      a TIB swap physically migrated an object's
-                          packed storage (pinned tail dropped/restored)
-``field_unboxed``         layout installation removed a proven
-                          lifetime-constant field from instances
 ========================= ==================================================
 
 Events live in a bounded ring buffer (:class:`EventBus`); when full, the
@@ -68,8 +64,6 @@ EVENT_NAMES = (
     "quicken",
     "ic_miss",
     "plan_downgraded",
-    "shape_transition",
-    "field_unboxed",
 )
 
 #: Event name -> Chrome-trace category, for trace-viewer filtering.
@@ -92,8 +86,6 @@ EVENT_CATEGORIES = {
     "quicken": "dispatch",
     "ic_miss": "dispatch",
     "plan_downgraded": "analysis",
-    "shape_transition": "heap",
-    "field_unboxed": "heap",
 }
 
 #: Default ring-buffer capacity.

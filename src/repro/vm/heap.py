@@ -6,15 +6,10 @@ per-class allocation counts and modeled byte volumes, used by the
 workload reports and to sanity-check that the SPECjbb2005 port really is
 more allocation-heavy than SPECjbb2000 (paper §7.1).
 
-With shapes on (:mod:`repro.vm.shapes`) objects are charged their
-packed-layout size at allocation; the declared-field size is tracked
-alongside so one run can report the packing savings.  Hot-state
-pinning moves bytes at TIB-swap time: entering a hot state drops the
-pinned tail (``pinned_bytes_dropped``), leaving it rematerializes
-(``pinned_bytes_restored``); :meth:`HeapStats.modeled_object_bytes`
-nets the three.  Arrays are charged per element *width* — an ``int``
-array element is 4 modeled bytes, a ``boolean``/``byte`` element 1 —
-not a flat machine word per element.
+One model: an object costs a header plus one machine word per instance
+field.  Arrays are charged per element *width* — an ``int`` array
+element is 4 modeled bytes, a ``boolean``/``byte`` element 1 — not a
+flat machine word per element.
 """
 
 from __future__ import annotations
@@ -47,43 +42,34 @@ class HeapStats:
 
     objects_allocated: int = 0
     arrays_allocated: int = 0
-    #: Modeled object bytes as charged at allocation (packed sizes when
-    #: shapes are on, declared sizes otherwise).
+    #: Modeled object bytes: header + one word per instance field.
     object_bytes: int = 0
-    #: What the same objects would cost under declared-field accounting
-    #: (header + one word per declared field) — the packing baseline.
-    declared_object_bytes: int = 0
     array_bytes: int = 0
     per_class: dict[str, int] = field(default_factory=dict)
     per_class_bytes: dict[str, int] = field(default_factory=dict)
-    #: Bytes dropped by layout transitions into pinning shapes.
-    pinned_bytes_dropped: int = 0
-    #: Bytes rematerialized by transitions back out (or by writes to
-    #: pinned slots).
-    pinned_bytes_restored: int = 0
-    #: Layout transitions that physically moved storage (each one is
-    #: paired with a TIB swap at the same site).
-    shape_transitions: int = 0
 
     @property
     def bytes_allocated(self) -> int:
         """Total modeled allocation volume (objects + arrays)."""
         return self.object_bytes + self.array_bytes
 
-    def record_object(
-        self,
-        class_name: str,
-        num_fields: int,
-        size_bytes: int | None = None,
-        declared_bytes: int | None = None,
-    ) -> None:
-        if size_bytes is None:
-            size_bytes = OBJECT_HEADER_BYTES + num_fields * WORD_BYTES
-        if declared_bytes is None:
-            declared_bytes = size_bytes
+    # The next three read the one model; they stay until the benchmark
+    # (perfbench/episode.py) stops reading them.
+    @property
+    def declared_object_bytes(self) -> int:
+        return self.object_bytes
+
+    @property
+    def shape_transitions(self) -> int:
+        return 0
+
+    def modeled_object_bytes(self) -> int:
+        return self.object_bytes
+
+    def record_object(self, class_name: str, num_fields: int) -> None:
+        size_bytes = OBJECT_HEADER_BYTES + num_fields * WORD_BYTES
         self.objects_allocated += 1
         self.object_bytes += size_bytes
-        self.declared_object_bytes += declared_bytes
         self.per_class[class_name] = self.per_class.get(class_name, 0) + 1
         self.per_class_bytes[class_name] = (
             self.per_class_bytes.get(class_name, 0) + size_bytes
@@ -93,15 +79,6 @@ class HeapStats:
         width = ARRAY_ELEM_WIDTH_BYTES.get(elem_type, WORD_BYTES)
         self.arrays_allocated += 1
         self.array_bytes += OBJECT_HEADER_BYTES + _align8(length * width)
-
-    def modeled_object_bytes(self) -> int:
-        """Live modeled object volume: allocation charges net of the
-        pinned-tail bytes currently dropped by hot-state shapes."""
-        return (
-            self.object_bytes
-            - self.pinned_bytes_dropped
-            + self.pinned_bytes_restored
-        )
 
     def top_classes(self, n: int = 10) -> list[tuple[str, int]]:
         """The ``n`` most-allocated classes, descending."""

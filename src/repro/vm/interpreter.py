@@ -105,7 +105,6 @@ _LOAD_SUB = Op.LOAD_SUB
 _LOAD_MUL = Op.LOAD_MUL
 _GETFIELD_RETURN = Op.GETFIELD_RETURN
 _FIELD_INC = Op.FIELD_INC
-_GETFIELD_SHAPE = Op.GETFIELD_SHAPE
 
 #: Ticks credited per method entry — the shared definition from the
 #: adaptive system (`AdaptiveConfig.ENTRY_TICKS`); `repro.vm.compiled`
@@ -414,11 +413,7 @@ def interpret(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                     raise NullPointerError(
                         f"null receiver writing field {instr.arg[1]!r}"
                     )
-                slot = instr.resolved
-                if type(slot) is int:
-                    obj.fields[slot] = value
-                else:
-                    slot.store(vm, obj, value)
+                obj.fields[instr.resolved] = value
                 # Quick code shares PUTFIELD/PUTSTATIC Instr objects
                 # with ``info.code``, so hooks installed mid-run (the
                 # online controller) are live here too.  The installed
@@ -694,31 +689,14 @@ def _h_newarray(vm: Any, instr: Any, stack: list) -> None:
 
 
 def _h_getfield(vm: Any, instr: Any, stack: list) -> None:
-    # Pristine GETFIELD (a de-quickened body): the quickener splits it
-    # into GETFIELD_QUICK and GETFIELD_SHAPE, so this arm decides
-    # between the two slot kinds at run time.
+    # Pristine GETFIELD (a de-quickened body); the quickener turns it
+    # into GETFIELD_QUICK.
     obj = stack.pop()
     if obj is None:
         raise NullPointerError(
             f"null receiver reading field {instr.arg[1]!r}"
         )
-    slot = instr.resolved
-    if type(slot) is int:
-        stack.append(obj.fields[slot])
-    else:
-        stack.append(slot.read(obj))
-
-
-def _h_getfield_shape(vm: Any, instr: Any, stack: list) -> None:
-    # GETFIELD whose resolved slot is shape-managed (an unboxed constant
-    # or a pinned state field): quickening routes it here instead of
-    # GETFIELD_QUICK so the hot loop never branches on slot type.
-    obj = stack.pop()
-    if obj is None:
-        raise NullPointerError(
-            f"null receiver reading field {instr.arg[1]!r}"
-        )
-    stack.append(instr.resolved.read(obj))
+    stack.append(obj.fields[instr.resolved])
 
 
 def _h_swap(vm: Any, instr: Any, stack: list) -> None:
@@ -746,7 +724,6 @@ def _build_cold_table() -> list:
     table[_NEW] = _h_new
     table[_NEWARRAY] = _h_newarray
     table[_GETFIELD] = _h_getfield
-    table[_GETFIELD_SHAPE] = _h_getfield_shape
     table[_SWAP] = _h_swap
     table[_NOP] = _h_nop
     return table

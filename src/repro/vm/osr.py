@@ -98,7 +98,7 @@ class OSRManager:
             for i in range(rm.info.max_locals)
             if i not in live_locals(rm.info.code)[pc]
         )
-        if getattr(vm.config, "tv", False):
+        if vm.config.tv:
             # Translation validation: the entry pc must be a
             # stack-depth-0 loop header and the compensation set must
             # agree with an independent liveness run; an unprovable

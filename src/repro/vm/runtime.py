@@ -66,11 +66,6 @@ def _spec_share_default() -> bool:
     return os.environ.get("JX_SPEC_SHARE", "1") != "0"
 
 
-def _shapes_default() -> bool:
-    """Packed object layouts default on; ``JX_SHAPES=0`` disables."""
-    return os.environ.get("JX_SHAPES", "1") != "0"
-
-
 def _tv_default() -> bool:
     """Translation validation defaults on; ``JX_TV=0`` disables."""
     return os.environ.get("JX_TV", "1") != "0"
@@ -96,21 +91,12 @@ class VMConfig:
     #: gets its own compile and TIB, exactly the paper's Fig. 10/12
     #: linear cost model.
     spec_share: bool = field(default_factory=_spec_share_default)
-    #: Shape-based packed object layout (:mod:`repro.vm.shapes`): each
-    #: (class, hot-state) owns a packed slot layout; lifetime-constant
-    #: fields are unboxed out of the instance, a mutable class's own
-    #: state fields sink to the layout tail, and hot-state TIBs carry
-    #: pinning shapes that drop the tail's storage (a TIB swap becomes
-    #: a layout transition).  Off, objects keep the declared one-word-
-    #: per-field layout exactly as before.
-    shapes: bool = field(default_factory=_shapes_default)
     #: Translation validation (:mod:`repro.analysis.tv`): prove every
-    #: transformed code surface (quickened/fused bodies, shape slot
-    #: layouts, OSR continuation entries, shared specialized bodies)
+    #: transformed code surface (quickened/fused bodies, OSR
+    #: continuation entries, shared specialized bodies)
     #: observationally equivalent to its pristine source before it is
     #: allowed to run; anything unprovable is downgraded (de-quickened,
-    #: permanent OSR miss, fresh compile, plan downgrade) instead of
-    #: trusted.  Off, transformers are trusted exactly as before.
+    #: permanent OSR miss, fresh compile) instead of trusted.  Off, transformers are trusted exactly as before.
     tv: bool = field(default_factory=_tv_default)
 
 
@@ -161,13 +147,13 @@ class VMStats:
     #: interpreter after a TIB swap invalidated their speculation.
     osr_deopts: int = 0
     #: Transformed bodies run through the translation validator
-    #: (repro.analysis.tv): quickened methods, OSR entries, shared
-    #: specialized bodies, and attach-time shape audits all count here.
+    #: (repro.analysis.tv): quickened methods, OSR entries and shared
+    #: specialized bodies all count here.
     tv_bodies_validated: int = 0
     #: Individual unprovable facts the validator reported.
     tv_findings: int = 0
     #: Surfaces the validator refused to run (de-quickened bodies,
-    #: rejected OSR entries, refused shares, downgraded plans).
+    #: rejected OSR entries, refused shares).
     tv_downgrades: int = 0
 
 
@@ -247,14 +233,6 @@ class VM:
         self.classes = self.linker.classes
         self.jtoc = self.linker.jtoc
         self.tib_space = self.linker.tib_space
-        # Packed layouts install right after linking and before the
-        # mutation manager attaches, so state hooks, specialization
-        # bindings, and lifetime-constant publication all see packed
-        # slots.
-        if self.config.shapes:
-            from repro.vm.shapes import install_shapes
-
-            install_shapes(self, mutation_plan)
         #: Static-field values as linked, before any ``<clinit>`` ran —
         #: what a fresh session's :class:`~repro.vm.jtoc.JTOCView`
         #: starts from.  ``<clinit>`` effects are per-session (they may

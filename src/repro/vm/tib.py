@@ -32,8 +32,7 @@ TIB_HEADER_WORDS = 2
 class TIB:
     """One virtual function table (class or special)."""
 
-    __slots__ = ("entries", "type_info", "imt", "state", "is_special",
-                 "shape")
+    __slots__ = ("entries", "type_info", "imt", "state", "is_special")
 
     def __init__(
         self,
@@ -48,10 +47,6 @@ class TIB:
         self.imt = imt
         self.state = state
         self.is_special = is_special
-        #: Packed object layout owned by this TIB (repro.vm.shapes); a
-        #: special TIB may carry a pinning shape whose state fields have
-        #: no instance storage.  ``None`` when shapes are off.
-        self.shape: Any = None
 
     @classmethod
     def special_from(cls, class_tib: "TIB", state: Any) -> "TIB":

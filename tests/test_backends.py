@@ -208,16 +208,10 @@ def test_hookcall_codegen_runs_inlined_hook():
         }
     }
     """
-    from repro.vm.runtime import VMConfig
-
     plan = build_mutation_plan(source)
     assert "Item" in plan.classes
     unit = compile_source(source)
-    # Shapes off: a pinning class's re-evaluation migrates storage and
-    # deliberately has no inline_spec, so the inline fast path this test
-    # exercises only exists for unpinned layouts.
-    vm = VM(unit, mutation_plan=plan, adaptive_config=AGGRESSIVE,
-            config=VMConfig(shapes=False))
+    vm = VM(unit, mutation_plan=plan, adaptive_config=AGGRESSIVE)
     result = vm.run()
     assert result.output == str(450 * 10 + 450 * 20) + "\n"
     # Allocation-heavy loop: the hook ran per construction (TIB swaps).

@@ -103,34 +103,6 @@ def test_all_configurations_byte_identical(name, tmp_path):
     )
     assert noshare_vm.mutation_stats.special_tibs_shared == 0
 
-    # Packed layouts are a pure storage-model change: shapes on and off
-    # (unboxing, pinning, layout transitions included) must be
-    # byte-identical, with identical swap and allocation counts.
-    shapes_on, shapes_on_vm = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(shapes=True),
-    )
-    assert shapes_on == reference, f"{name}: shapes-on run diverged"
-    shapes_off, shapes_off_vm = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(shapes=False),
-    )
-    assert shapes_off == reference, f"{name}: shapes-off run diverged"
-    assert shapes_off_vm.heap.shape_transitions == 0
-    assert (
-        shapes_on_vm.mutation_stats.tib_swaps
-        == shapes_off_vm.mutation_stats.tib_swaps
-    )
-    assert (
-        shapes_on_vm.heap.objects_allocated
-        == shapes_off_vm.heap.objects_allocated
-    )
-    # Packing never models an object larger than its declared layout.
-    assert (
-        shapes_on_vm.heap.modeled_object_bytes()
-        <= shapes_off_vm.heap.modeled_object_bytes()
-    )
-
     # Specialized code with and without mid-frame deopt guards: OSR must
     # be invisible in output either way.
     special_osr, _ = _run(

@@ -198,14 +198,33 @@ def test_cli_fig_unknown(capsys):
 def test_cli_heap_report(capsys):
     assert cli_main(["heap", "salarydb", "--scale", "0.1"]) == 0
     out = capsys.readouterr().out
-    assert "heap report (shapes " in out
-    assert "modeled vs" in out
-    assert "pinning" in out
+    assert "salarydb: heap report\n" in out
+    assert "B modeled (header + one word per field)" in out
     assert "top classes by modeled bytes" in out
+    assert "SalaryEmployee" in out
 
 
-def test_cli_stats_heap_and_shapes_lines(capsys):
+def test_cli_stats_heap_line(capsys):
     assert cli_main(["stats", "salarydb", "--scale", "0.1"]) == 0
     out = capsys.readouterr().out
     assert "heap         objects=" in out
-    assert "transitions=" in out
+    assert "modeled=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "salarydb", "--sessions", "0"],
+    ["serve", "salarydb", "--workers", "0"],
+    ["compare", "salarydb", "--repeats", "0"],
+    ["heap", "salarydb", "--top", "0"],
+    ["stats", "salarydb", "--scale", "0"],
+    ["serve", "salarydb", "--scale", "-1"],
+])
+def test_cli_rejects_out_of_range_numbers(argv, capsys):
+    """A zero count or scale would run nothing and still report
+    success; it is a usage error instead: one line, exit code 2."""
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    option = argv[2]
+    assert captured.err.startswith(f"jx: error: {option} must be ")
+    assert captured.err.count("\n") == 1

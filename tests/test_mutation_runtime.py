@@ -1,7 +1,10 @@
 """Online mutation manager tests: Fig. 4 / Fig. 5 behaviors."""
 
+import pytest
+
 from repro import VM, compile_source
 from repro.mutation import build_mutation_plan
+from repro.workloads import get_workload
 from tests.helpers import AGGRESSIVE, assert_mutation_equivalent
 
 SALARY = """
@@ -184,8 +187,6 @@ class Main {
 def test_static_only_mutable_class():
     plan = build_mutation_plan(STATIC_STATE)
     if "Engine" not in plan.classes:
-        import pytest
-
         pytest.skip("profiling did not flag Engine as mutable")
     cp = plan.classes["Engine"]
     assert not cp.depends_on_instance
@@ -196,8 +197,6 @@ def test_static_only_mutable_class():
 
 def test_static_state_patches_class_tib():
     plan = build_mutation_plan(STATIC_STATE)
-    import pytest
-
     if "Engine" not in plan.classes:
         pytest.skip("profiling did not flag Engine as mutable")
     unit = compile_source(STATIC_STATE)
@@ -217,3 +216,29 @@ def test_manager_describe_smoke():
     text = vm.mutation_manager.describe()
     assert "SalaryEmployee" in text
     assert "special" in text
+
+
+@pytest.mark.parametrize("workload", ["salarydb", "jbb2000", "java2xhtml"])
+def test_uninstrumented_swaps_use_the_plain_closures(workload):
+    """With telemetry off no mutable class pays for the recorded
+    closure (``perf_counter`` and ``record_swap`` on every swap, no opt2
+    inlining): each class gets ``reeval1`` or ``reeval``, and each
+    single-state-field class's ctor hook carries the ``("single", …)``
+    inline spec that opt2 code expands in place."""
+    spec = get_workload(workload)
+    source = spec.source(0.05)
+    plan = build_mutation_plan(source, entry_class=spec.entry_class)
+    vm = VM(compile_source(source, entry_class=spec.entry_class),
+            mutation_plan=plan)
+    manager = vm.mutation_manager
+    reevals = manager._instance_hook.reeval_by_class
+    assert reevals
+    for name, mcr in manager.mcrs.items():
+        reeval = reevals[name]
+        if len(mcr.instance_slots) == 1:
+            assert reeval.__name__ == "reeval1", name
+            inline = manager.ctor_hooks[name].inline_spec
+            assert inline[0] == "single", name
+            assert inline[2] == mcr.instance_slots[0], name
+        else:
+            assert reeval.__name__ == "reeval", name

@@ -12,7 +12,7 @@ mono -> poly -> megamorphic state machine.
 
 import pytest
 
-from repro import VM, VMConfig, compile_source
+from repro import VM, compile_source
 from repro.bytecode.opcodes import Op, OP_INFO, QUICK_OPS
 from repro.bytecode.quicken import FUSION_PAIRS, InterfaceIC, VirtualIC
 from repro.vm.interpreter import JxStackTrace
@@ -371,8 +371,8 @@ def _null_read_trace(vm):
 
 def test_dequickened_body_runs_pristine_getfield_in_the_one_loop():
     """A de-quickened method's body is a copy of its pristine bytecode,
-    run by the same interpreter: plain GETFIELD reads an int slot, a
-    shape-managed slot, and reports a null receiver exactly as the
+    run by the same interpreter: plain GETFIELD reads the state field a
+    TIB swap depends on, and reports a null receiver exactly as the
     quickened forms do."""
     from repro.mutation import build_mutation_plan
     from tests.test_analysis import SALARY
@@ -380,8 +380,7 @@ def test_dequickened_body_runs_pristine_getfield_in_the_one_loop():
     def salary_vm():
         return VM(compile_source(SALARY),
                   mutation_plan=build_mutation_plan(SALARY),
-                  adaptive_config=INTERP_ONLY,
-                  config=VMConfig(shapes=True))
+                  adaptive_config=INTERP_ONLY)
 
     expected = salary_vm().run().output
     vm = dequicken_all(salary_vm())
@@ -389,11 +388,10 @@ def test_dequickened_body_runs_pristine_getfield_in_the_one_loop():
         assert rm.quick_code == rm.info.code
         assert rm.quick_code is not rm.info.code
     raise_ = vm.classes["SalaryEmployee"].own_methods["raise"]
-    kinds = {
-        type(ins.resolved).__name__
-        for ins in raise_.quick_code if ins.op is Op.GETFIELD
-    }
-    assert kinds == {"int", "ShapeField"}, "needs both slot kinds"
+    grade = vm.unit.lookup_field("SalaryEmployee", "grade").slot
+    assert grade in {
+        ins.resolved for ins in raise_.quick_code if ins.op is Op.GETFIELD
+    }, "reads the state field through pristine GETFIELD"
     assert vm.run().output == expected
 
     quick_out, quick_trace = _null_read_trace(

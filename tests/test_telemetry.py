@@ -274,8 +274,8 @@ def test_salarydb_mutation_emits_swap_and_install_events():
 @pytest.mark.parametrize("workload", ["salarydb", "jbb2000"])
 def test_telemetry_outputs_match_untelemetered_run(workload):
     """Telemetry swaps every class onto the recorded re-evaluation
-    closure; jbb2000 adds pinned shapes and multi-field state classes.
-    Output, swaps and layout transitions must not notice."""
+    closure; jbb2000 adds multi-field state classes.  Output and swaps
+    must not notice."""
     spec = get_workload(workload)
     source = spec.source(0.05)
     plan = build_mutation_plan(source)
@@ -288,12 +288,6 @@ def test_telemetry_outputs_match_untelemetered_run(workload):
     swaps = traced.mutation_stats.tib_swaps
     assert swaps > 0
     assert swaps == plain.mutation_stats.tib_swaps
-    assert (
-        traced.heap.shape_transitions == plain.heap.shape_transitions
-    )
-    if traced.config.shapes:
-        # Both workloads' state classes pin their state fields.
-        assert traced.heap.shape_transitions > 0
     # Swap accounting agrees between telemetry and the manager counters.
     assert traced.telemetry.summary()["counters"]["mutation.tib_swap"] == swaps
     assert (

@@ -62,14 +62,7 @@ def _fresh_vm(telemetry=None):
 
 def _check_tib_matches_state(vm, rc, obj, grade_slot):
     """The single invariant: TIB reflects the *current* state value."""
-    # Under packed layouts the state field may be a pinned trailing slot
-    # whose storage is dropped while the object sits in a hot state —
-    # read through the shape rather than indexing raw storage.
-    f = obj.fields
-    key = (
-        f[grade_slot] if grade_slot < len(f)
-        else obj.tib.shape.pinned[grade_slot],
-    )
+    key = (obj.fields[grade_slot],)
     if key in rc.special_tibs:
         assert obj.tib is rc.special_tibs[key], (
             f"hot state {key}: object not on its special TIB"
@@ -915,11 +908,7 @@ def test_share_on_off_random_writes_byte_identical(seed):
             assert results[0] == results[1]
         (vm_a, rc_a, objs_a), (vm_b, _rc_b, objs_b) = sides
         for oa, ob in zip(objs_a, objs_b):
-            # Logical, not physical: a merged special TIB demotes to
-            # the base shape, so only the unshared side drops pinned
-            # storage.
-            assert (_logical_fields(vm_a, oa, "Meter", ("band", "tag"))
-                    == _logical_fields(vm_b, ob, "Meter", ("band", "tag")))
+            assert oa.fields == ob.fields
             assert oa.tib.is_special == ob.tib.is_special
             if ob.tib.is_special:
                 assert oa.tib is rc_a.special_tibs[ob.tib.state]
@@ -931,44 +920,19 @@ def test_share_on_off_random_writes_byte_identical(seed):
 
 
 # ---------------------------------------------------------------------------
-# Shape-based packed layouts (repro.vm.shapes)
+# Recorded (telemetry) vs uninstrumented re-evaluation closures
 # ---------------------------------------------------------------------------
 
-def _shapes_vm(shapes, telemetry=None):
-    from repro import VMConfig
-
-    plan = build_mutation_plan(SOURCE)
-    vm = VM(compile_source(SOURCE), mutation_plan=plan,
-            adaptive_config=AGGRESSIVE, telemetry=telemetry,
-            config=VMConfig(shapes=shapes))
-    vm.initialize()
-    return vm
-
-
-def _logical_fields(vm, obj, cls_name="SalaryEmployee",
-                    names=("salary", "grade", "other")):
-    """Field values as the program sees them, shape-agnostic."""
-    out = {}
-    for name in names:
-        slot = vm.unit.lookup_field(cls_name, name).slot
-        if type(slot) is int:
-            out[name] = obj.fields[slot]
-        else:
-            out[name] = slot.read(obj)
-    return out
-
-
 @pytest.mark.parametrize("seed", [0, 9, 314])
-def test_shapes_on_off_random_writes_byte_identical(seed):
-    """Packed layouts are invisible to program semantics: the same
-    random mix of state writes and calls leaves shapes-on and
-    shapes-off VMs with identical logical field values, TIB placement,
-    swap counts, allocation counts, and program output — and every
-    layout transition rides a counted TIB swap."""
-    vm_on = _shapes_vm(True, telemetry=True)
-    vm_off = _shapes_vm(False)
+def test_recorded_and_plain_reeval_random_writes_byte_identical(seed):
+    """The recorded re-evaluation closure (telemetry attached) and the
+    uninstrumented ``reeval1`` make the same swaps: the same random mix
+    of state writes and calls leaves both VMs with identical fields, TIB
+    placement, swap counts, allocation counts, and program output — and
+    the telemetry counter agrees with the swap count one-to-one."""
     sides = []
-    for vm in (vm_on, vm_off):
+    for telemetry in (True, None):
+        vm = _fresh_vm(telemetry=telemetry)
         rc = vm.classes["SalaryEmployee"]
         objs = []
         for i in range(4):
@@ -976,6 +940,13 @@ def test_shapes_on_off_random_writes_byte_identical(seed):
             rc.own_methods["<init>/1"].compiled.invoke(vm, [obj, i % 4])
             objs.append(obj)
         sides.append((vm, rc, objs))
+    (vm_tel, _, _), (vm_plain, _, _) = sides
+    hook = vm_plain.mutation_manager._instance_hook
+    assert hook.reeval_by_class["SalaryEmployee"].__name__ == "reeval1"
+    hook = vm_tel.mutation_manager._instance_hook
+    assert (hook.reeval_by_class["SalaryEmployee"].__name__
+            == "reeval_recorded")
+    grade_slot = vm_tel.unit.lookup_field("SalaryEmployee", "grade").slot
 
     rng = random.Random(seed)
     for _ in range(250):
@@ -992,35 +963,18 @@ def test_shapes_on_off_random_writes_byte_identical(seed):
                 rc.own_methods["setOther"].compiled.invoke(vm, [obj, arg])
             else:
                 rc.own_methods["raise"].compiled.invoke(vm, [obj])
-        (vm_a, _rc_a, objs_a), (vm_b, _rc_b, objs_b) = sides
+        (vm_a, rc_a, objs_a), (_vm_b, _rc_b, objs_b) = sides
         for oa, ob in zip(objs_a, objs_b):
-            assert _logical_fields(vm_a, oa) == _logical_fields(vm_b, ob)
+            assert oa.fields == ob.fields
             assert oa.tib.is_special == ob.tib.is_special
-            _check_tib_matches_state(
-                vm_a, vm_a.classes["SalaryEmployee"], oa,
-                vm_a.unit.lookup_field("SalaryEmployee", "grade").slot,
-            )
+            _check_tib_matches_state(vm_a, rc_a, oa, grade_slot)
 
-    assert vm_on.mutation_stats.tib_swaps == vm_off.mutation_stats.tib_swaps
-    # Pinning actually engaged: layout transitions fired, and any object
-    # resting in a hot state physically dropped its pinned tail slot.
-    # (Modeled bytes may not move — grade is a 4-byte int that 8-byte
-    # alignment swallows — so assert on storage, not bytes.)
-    assert vm_on.heap.shape_transitions > 0
-    base_slots = vm_on.classes["SalaryEmployee"].class_tib.shape.n_slots
-    for obj in sides[0][2]:
-        expected = obj.tib.shape.n_slots if obj.tib.is_special else base_slots
-        assert len(obj.fields) == expected
-    assert vm_off.heap.shape_transitions == 0
-    # Every layout transition rides a counted swap, and telemetry agrees
-    # with the heap counter one-to-one.
-    assert vm_on.heap.shape_transitions <= vm_on.mutation_stats.tib_swaps
-    assert (
-        vm_on.telemetry.bus.count("shape_transition")
-        == vm_on.heap.shape_transitions
-    )
-    assert vm_on.run().output == vm_off.run().output
-    assert vm_on.heap.objects_allocated == vm_off.heap.objects_allocated
+    swaps = vm_tel.mutation_stats.tib_swaps
+    assert swaps > 0
+    assert swaps == vm_plain.mutation_stats.tib_swaps
+    assert vm_tel.telemetry.metrics.counter("mutation.tib_swap").value == swaps
+    assert vm_tel.run().output == vm_plain.run().output
+    assert vm_tel.heap.objects_allocated == vm_plain.heap.objects_allocated
 
 
 def test_unresolvable_field_write_warns_and_skips_hook():

@@ -1,9 +1,8 @@
 """Translation validation (repro.analysis.tv over repro.analysis.symstate).
 
-The four crafted mis-transformations mirror the acceptance criteria —
-a wrong fused successor, a stale packed slot index, an OSR entry
-missing a live local, and a shared body with unequal read-set
-projections each yield exactly one finding of the expected check type
+The three crafted mis-transformations mirror the acceptance criteria —
+a wrong fused successor, an OSR entry missing a live local, and a
+shared body with unequal read-set projections each yield exactly one finding of the expected check type
 AND trigger the enforcement downgrade end to end (the unprovable body
 is never run, output equality holds).  The accounting test pins the
 three-way invariant: ``VMStats.tv_*`` == ``analysis.tv_*`` telemetry
@@ -20,7 +19,6 @@ from repro.analysis import (
     tv_findings,
     tv_osr_findings,
     tv_share_findings,
-    tv_shapes_findings,
 )
 from repro.analysis.tv import enforce_quicken
 from repro.bytecode import Instr, VerifyError, verify_quick_method
@@ -116,66 +114,7 @@ def test_wrong_fused_successor_found_and_dequickened():
 
 
 # ---------------------------------------------------------------------------
-# Negative 2 (shapes): stale packed slot index
-# ---------------------------------------------------------------------------
-
-def test_stale_packed_slot_index_one_finding():
-    vm = _salary_vm()
-    rm = vm.classes["Main"].own_methods["main"]
-    sites = [ins for ins in rm.info.code if ins.op is Op.GETFIELD]
-    qsites = [
-        ins for ins in rm.quick_code if ins.op is Op.GETFIELD_QUICK
-    ]
-    assert sites[0].resolved == 0 and qsites[0].resolved == 0
-    # Corrupt BOTH the pristine inline cache and the quickened copy so
-    # the staleness is invisible to the quicken lockstep (they agree
-    # with each other) and only the layout cross-check can catch it.
-    sites[0].resolved = 1
-    qsites[0].resolved = 1
-    findings = tv_findings(vm)
-    assert [(f.check, f.message) for f in findings] == [
-        ("tv-shapes", "stale packed slot index 1 (layout says 0)")
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Negative 2b (shapes): corrupted pinning shape downgrades the plan
-# ---------------------------------------------------------------------------
-
-def test_pinning_shape_corruption_downgrades_plan(monkeypatch):
-    import repro.mutation.manager as manager_mod
-    from repro.vm.shapes import pinned_shape as real_pinned_shape
-
-    expected = _salary_vm().run().output
-    calls = [0]
-
-    def corrupt(rc, state_key, values_by_slot):
-        shape = real_pinned_shape(rc, state_key, values_by_slot)
-        calls[0] += 1
-        if calls[0] == 1 and shape is not None and shape.is_pinning:
-            shape.pinned.clear()
-        return shape
-
-    monkeypatch.setattr(manager_mod, "pinned_shape", corrupt)
-    vm = _salary_vm(config=VMConfig(shapes=True))
-    monkeypatch.undo()
-
-    manager = vm.mutation_manager
-    downgraded = manager.downgraded_classes["SalaryEmployee"]
-    assert [f.check for f in downgraded] == ["tv-shapes"]
-    assert "pinning shape covers slots []" in downgraded[0].message
-    assert vm.mutation_stats.plans_downgraded == 1
-    assert "shapes:SalaryEmployee" in vm.tv_downgrades
-    assert vm.run().output == expected
-    # The downgrade tears the corrupted TIBs down, so the live-heap
-    # check is clean again; the downgrade record is what lint surfaces.
-    assert tv_shapes_findings(vm) == []
-    findings = [f for f in tv_findings(vm) if f.check == "tv-shapes"]
-    assert [f.where for f in findings] == ["SalaryEmployee"]
-
-
-# ---------------------------------------------------------------------------
-# Negative 3 (OSR): entry missing a live local
+# Negative 2 (OSR): entry missing a live local
 # ---------------------------------------------------------------------------
 
 def test_osr_entry_missing_live_local_rejected():
@@ -227,7 +166,7 @@ def test_osr_entries_validate_clean_after_real_run():
 
 
 # ---------------------------------------------------------------------------
-# Negative 4 (spec-share): shared body with unequal read sets
+# Negative 3 (spec-share): shared body with unequal read sets
 # ---------------------------------------------------------------------------
 
 def test_share_with_unequal_read_sets_refused():
@@ -339,19 +278,10 @@ def _find_quick_site(vm, op):
     raise AssertionError(f"no {op.name} site in any quickened body")
 
 
-def test_verify_quick_rejects_int_resolved_shape_site():
-    vm = _salary_vm(config=VMConfig(shapes=True))
-    rm, ins = _find_quick_site(vm, Op.GETFIELD_SHAPE)
-    ins.resolved = 2  # a raw index cannot rematerialize pinned storage
-    with pytest.raises(VerifyError, match="GETFIELD_SHAPE"):
-        verify_quick_method(rm)
-
-
-def test_verify_quick_rejects_shape_resolved_quick_site():
-    vm = _salary_vm(config=VMConfig(shapes=True))
-    _, shape_site = _find_quick_site(vm, Op.GETFIELD_SHAPE)
+def test_verify_quick_rejects_non_int_quick_site():
+    vm = _salary_vm()
     rm, ins = _find_quick_site(vm, Op.GETFIELD_QUICK)
-    ins.resolved = shape_site.resolved
+    ins.resolved = ("SalaryEmployee", "grade")  # not a resolved slot
     with pytest.raises(VerifyError, match="GETFIELD_QUICK"):
         verify_quick_method(rm)
 
